@@ -29,9 +29,7 @@
 //! cores)` cell is simulated serially (no harness-level parallelism,
 //! no profiling layer) `--reps` times (default 3) and the fastest
 //! run's wall time is recorded to `BENCH_wallclock.json`. With
-//! `--threads <n>` each cell is also run on the sharded stepper and
-//! the harness asserts the cycle counts match the serial run before
-//! recording the threaded column. With `--speedup <baseline>` the
+//! `--speedup <baseline>` the
 //! fresh times are divided into a committed serial-baseline artifact
 //! (same schema, recorded from the pre-event-engine stepper — see
 //! DESIGN.md "Execution engine") and the per-cell and per-size
@@ -54,7 +52,6 @@ struct Args {
     explain: bool,
     time: bool,
     reps: usize,
-    threads: usize,
     speedup: Option<String>,
 }
 
@@ -71,7 +68,6 @@ fn parse_args() -> Args {
         explain: false,
         time: false,
         reps: 3,
-        threads: 1,
         speedup: None,
     };
     let mut it = std::env::args().skip(1);
@@ -91,13 +87,6 @@ fn parse_args() -> Args {
                 match v.parse() {
                     Ok(r) if r >= 1 => args.reps = r,
                     _ => die(&format!("--reps wants a count >= 1, got `{v}`")),
-                }
-            }
-            "--threads" => {
-                let v = flag_value("--threads");
-                match v.parse() {
-                    Ok(t) if t >= 1 => args.threads = t,
-                    _ => die(&format!("--threads wants a count >= 1, got `{v}`")),
                 }
             }
             "--threshold" => {
@@ -225,27 +214,19 @@ fn baseline_cells(doc: &Value) -> Vec<((String, u64), (u64, Value))> {
     out
 }
 
-/// One timed cell: fastest-of-reps wall clock for the serial engine
-/// and (when `--threads` is given) the sharded stepper.
+/// One timed cell: fastest-of-reps wall clock.
 struct TimedCell {
     workload: String,
     cores: usize,
     cycles: u64,
     wall_ms: f64,
-    wall_ms_threaded: Option<f64>,
 }
 
-/// Runs one cell `reps` times with `threads` workers and returns
-/// `(cycles, fastest wall ms)`. The profiling layer stays off so the
-/// measurement reflects the engine, not the observer.
-fn time_cell(
-    cw: &clp_core::CompiledWorkload,
-    cores: usize,
-    threads: usize,
-    reps: usize,
-) -> (u64, f64) {
-    let mut cfg = ProcessorConfig::tflex(cores);
-    cfg.sim.threads = threads;
+/// Runs one cell `reps` times and returns `(cycles, fastest wall ms)`.
+/// The profiling layer stays off so the measurement reflects the
+/// engine, not the observer.
+fn time_cell(cw: &clp_core::CompiledWorkload, cores: usize, reps: usize) -> (u64, f64) {
+    let cfg = ProcessorConfig::tflex(cores);
     let obs = ObsOptions::default();
     let mut cycles = 0;
     let mut best = f64::INFINITY;
@@ -268,7 +249,7 @@ fn time_cell(
 
 /// The `--time` harness: serial cell-by-cell measurement (compilation
 /// is parallel, simulation is not, so cells never contend for cores).
-fn measure_wallclock(reps: usize, threads: usize) -> Vec<TimedCell> {
+fn measure_wallclock(reps: usize) -> Vec<TimedCell> {
     let workloads = suite::all();
     let compiled: Vec<_> = thread::scope(|scope| {
         let handles: Vec<_> = workloads
@@ -287,60 +268,42 @@ fn measure_wallclock(reps: usize, threads: usize) -> Vec<TimedCell> {
     let mut cells = Vec::new();
     for cw in &compiled {
         for &n in &BENCH_SIZES {
-            let (cycles, wall_ms) = time_cell(cw, n, 1, reps);
-            let wall_ms_threaded = (threads > 1).then(|| {
-                let (tc, tw) = time_cell(cw, n, threads, reps);
-                assert_eq!(
-                    tc, cycles,
-                    "{} x{n}: threaded run diverged from serial",
-                    cw.workload.name
-                );
-                tw
-            });
+            let (cycles, wall_ms) = time_cell(cw, n, reps);
             cells.push(TimedCell {
                 workload: cw.workload.name.to_string(),
                 cores: n,
                 cycles,
                 wall_ms,
-                wall_ms_threaded,
             });
         }
     }
     cells
 }
 
-fn time_doc(cells: &[TimedCell], reps: usize, threads: usize) -> Value {
-    let mut top = vec![
+fn time_doc(cells: &[TimedCell], reps: usize) -> Value {
+    Value::Object(vec![
         (
             "schema".to_string(),
             Value::String("clp-bench-time-v1".to_string()),
         ),
         ("reps".to_string(), Value::UInt(reps as u64)),
-    ];
-    if threads > 1 {
-        top.push(("threads".to_string(), Value::UInt(threads as u64)));
-    }
-    top.push((
-        "cells".to_string(),
-        Value::Array(
-            cells
-                .iter()
-                .map(|c| {
-                    let mut cell = vec![
-                        ("workload".to_string(), Value::String(c.workload.clone())),
-                        ("cores".to_string(), Value::UInt(c.cores as u64)),
-                        ("cycles".to_string(), Value::UInt(c.cycles)),
-                        ("wall_ms".to_string(), Value::Float(c.wall_ms)),
-                    ];
-                    if let Some(t) = c.wall_ms_threaded {
-                        cell.push(("wall_ms_threaded".to_string(), Value::Float(t)));
-                    }
-                    Value::Object(cell)
-                })
-                .collect(),
+        (
+            "cells".to_string(),
+            Value::Array(
+                cells
+                    .iter()
+                    .map(|c| {
+                        Value::Object(vec![
+                            ("workload".to_string(), Value::String(c.workload.clone())),
+                            ("cores".to_string(), Value::UInt(c.cores as u64)),
+                            ("cycles".to_string(), Value::UInt(c.cycles)),
+                            ("wall_ms".to_string(), Value::Float(c.wall_ms)),
+                        ])
+                    })
+                    .collect(),
+            ),
         ),
-    ));
-    Value::Object(top)
+    ])
 }
 
 /// Baseline wall-clock cells as `(workload, cores) -> wall_ms`.
@@ -426,8 +389,8 @@ fn speedup_doc(cells: &[TimedCell], baseline: &[((String, u64), f64)], from: &st
 }
 
 fn run_time_mode(args: &Args) {
-    let cells = measure_wallclock(args.reps, args.threads);
-    let doc = time_doc(&cells, args.reps, args.threads);
+    let cells = measure_wallclock(args.reps);
+    let doc = time_doc(&cells, args.reps);
     let out = "BENCH_wallclock.json";
     std::fs::write(out, serde_json::to_string_pretty(&doc).expect("serializes"))
         .unwrap_or_else(|e| die(&format!("cannot write `{out}`: {e}")));

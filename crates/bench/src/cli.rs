@@ -15,6 +15,7 @@
 use clp_core::ObsOptions;
 use clp_obs::StatsSnapshot;
 use serde::Serialize;
+use std::io;
 use std::path::PathBuf;
 
 use crate::BenchRow;
@@ -31,6 +32,13 @@ pub struct FigObs {
 fn die(prog: &str, msg: &str) -> ! {
     eprintln!("error: {msg}");
     eprintln!("usage: {prog} [--sample-every <cycles>] [--stats-json <path>]");
+    std::process::exit(2);
+}
+
+/// Prints `prog: err` and exits with status 2: how the figure binaries
+/// report an unwritable `--stats-json` path.
+pub fn exit_on_write_error(prog: &str, err: &io::Error) -> ! {
+    eprintln!("{prog}: {err}");
     std::process::exit(2);
 }
 
@@ -89,9 +97,14 @@ impl FigObs {
     /// Writes `labeled` snapshots to the `--stats-json` path as a JSON
     /// array of `{label, snapshot}` objects. No-op when the flag was not
     /// given.
-    pub fn save_snapshots(&self, labeled: Vec<(String, StatsSnapshot)>) {
+    ///
+    /// # Errors
+    ///
+    /// Returns the write error, naming the path, when the file cannot be
+    /// written.
+    pub fn save_snapshots(&self, labeled: Vec<(String, StatsSnapshot)>) -> io::Result<()> {
         let Some(path) = &self.stats_json else {
-            return;
+            return Ok(());
         };
         #[derive(Serialize)]
         struct Labeled {
@@ -103,16 +116,23 @@ impl FigObs {
             .map(|(label, snapshot)| Labeled { label, snapshot })
             .collect();
         let json = serde_json::to_string_pretty(&entries).expect("serializable");
-        std::fs::write(path, json).expect("can write stats json");
+        std::fs::write(path, json).map_err(|e| {
+            io::Error::new(e.kind(), format!("cannot write `{}`: {e}", path.display()))
+        })?;
         println!("[saved {}]", path.display());
+        Ok(())
     }
 
     /// Labels and writes every cell snapshot of a completed sweep
     /// (`<workload>/tflex-<n>` and `<workload>/trips`). No-op when
     /// `--stats-json` was not given.
-    pub fn save_sweep_snapshots(&self, rows: &[BenchRow]) {
+    ///
+    /// # Errors
+    ///
+    /// As [`FigObs::save_snapshots`].
+    pub fn save_sweep_snapshots(&self, rows: &[BenchRow]) -> io::Result<()> {
         if self.stats_json.is_none() {
-            return;
+            return Ok(());
         }
         let mut labeled = Vec::new();
         for r in rows {
@@ -124,7 +144,7 @@ impl FigObs {
                 r.trips.snapshot.clone(),
             ));
         }
-        self.save_snapshots(labeled);
+        self.save_snapshots(labeled)
     }
 }
 

@@ -1,9 +1,8 @@
 //! The standing engine-equivalence suite.
 //!
-//! The execution engine has three interchangeable drivers: the
-//! reference single-step loop (`Machine::run_stepped`), the
-//! event-driven skip-ahead loop (`Machine::run`), and the sharded
-//! parallel stepper (`SimConfig::threads > 1`). Their contract is
+//! The execution engine has two interchangeable drivers: the
+//! reference single-step loop (`Machine::run_stepped`) and the
+//! event-driven skip-ahead loop (`Machine::run`). Their contract is
 //! *bit-identity*: same cycle counts, same stats registry, same
 //! clp-prof cycle accounting, same clp-trend time series — an optimized
 //! driver that changes any reported number is a bug, not a speedup.
@@ -29,19 +28,9 @@ use clp_workloads::{CheckSpec, IlpClass, Workload, WorkloadClass};
 
 const SIZES: [usize; 5] = [1, 2, 4, 8, 16];
 
-/// Shard width for the threaded leg. Three does not divide the mesh
-/// evenly, so the last shard is ragged — the interesting case.
-const THREADS: usize = 3;
-
 /// Runs `cw` on `cores` with the given driver and full observability.
-fn run_with(
-    cw: &clp_core::CompiledWorkload,
-    cores: usize,
-    stepped: bool,
-    threads: usize,
-) -> RunOutcome {
-    let mut cfg = ProcessorConfig::tflex(cores);
-    cfg.sim.threads = threads;
+fn run_with(cw: &clp_core::CompiledWorkload, cores: usize, stepped: bool) -> RunOutcome {
+    let cfg = ProcessorConfig::tflex(cores);
     let obs = ObsOptions {
         profile: true,
         trend: Some(TrendOptions::default()),
@@ -71,39 +60,36 @@ fn reports(r: &RunOutcome) -> (String, String, String) {
 }
 
 /// Asserts full bit-identity (cycles + all three reports) between the
-/// reference stepper and both optimized drivers.
+/// reference stepper and the skip-ahead driver.
 fn assert_equivalent(cw: &clp_core::CompiledWorkload, cores: usize, label: &str) {
-    let reference = run_with(cw, cores, true, 1);
-    let skip = run_with(cw, cores, false, 1);
-    let sharded = run_with(cw, cores, false, THREADS);
-    for (name, run) in [("skip-ahead", &skip), ("sharded", &sharded)] {
-        assert_eq!(
-            reference.stats.cycles, run.stats.cycles,
-            "{label} x{cores}: {name} cycle count diverged"
-        );
-        assert_eq!(
-            reference.ret, run.ret,
-            "{label} x{cores}: {name} return value diverged"
-        );
-        let (want_snap, want_prof, want_trend) = reports(&reference);
-        let (snap, prof, trend) = reports(run);
-        assert_eq!(
-            want_snap, snap,
-            "{label} x{cores}: {name} snapshot diverged"
-        );
-        assert_eq!(
-            want_prof, prof,
-            "{label} x{cores}: {name} clp-prof diverged"
-        );
-        assert_eq!(
-            want_trend, trend,
-            "{label} x{cores}: {name} clp-trend diverged"
-        );
-    }
+    let reference = run_with(cw, cores, true);
+    let skip = run_with(cw, cores, false);
+    assert_eq!(
+        reference.stats.cycles, skip.stats.cycles,
+        "{label} x{cores}: skip-ahead cycle count diverged"
+    );
+    assert_eq!(
+        reference.ret, skip.ret,
+        "{label} x{cores}: skip-ahead return value diverged"
+    );
+    let (want_snap, want_prof, want_trend) = reports(&reference);
+    let (snap, prof, trend) = reports(&skip);
+    assert_eq!(
+        want_snap, snap,
+        "{label} x{cores}: skip-ahead snapshot diverged"
+    );
+    assert_eq!(
+        want_prof, prof,
+        "{label} x{cores}: skip-ahead clp-prof diverged"
+    );
+    assert_eq!(
+        want_trend, trend,
+        "{label} x{cores}: skip-ahead clp-trend diverged"
+    );
 }
 
 /// Full suite, every size: cycles and return values must match across
-/// all three drivers. (Reports are compared on the subset below — this
+/// both drivers. (Reports are compared on the subset below — this
 /// test keeps the full sweep affordable while still covering every
 /// workload's cycle count five times over.)
 #[test]
@@ -111,21 +97,18 @@ fn suite_cycles_identical_across_engines() {
     for w in clp_workloads::suite::all() {
         let cw = compile_workload(&w).expect("compiles");
         for &n in &SIZES {
-            let reference = run_with(&cw, n, true, 1);
-            let skip = run_with(&cw, n, false, 1);
-            let sharded = run_with(&cw, n, false, THREADS);
-            for (name, run) in [("skip-ahead", &skip), ("sharded", &sharded)] {
-                assert_eq!(
-                    reference.stats.cycles, run.stats.cycles,
-                    "{} x{n}: {name} cycle count diverged",
-                    w.name
-                );
-                assert_eq!(
-                    reference.ret, run.ret,
-                    "{} x{n}: {name} return value diverged",
-                    w.name
-                );
-            }
+            let reference = run_with(&cw, n, true);
+            let skip = run_with(&cw, n, false);
+            assert_eq!(
+                reference.stats.cycles, skip.stats.cycles,
+                "{} x{n}: skip-ahead cycle count diverged",
+                w.name
+            );
+            assert_eq!(
+                reference.ret, skip.ret,
+                "{} x{n}: skip-ahead return value diverged",
+                w.name
+            );
         }
     }
 }

@@ -133,7 +133,7 @@ impl MeshConfig {
     }
 
     /// Next hop direction under X-then-Y dimension-order routing.
-    pub(crate) fn route_dir(&self, at: NodeId, dst: NodeId) -> Dir {
+    fn route_dir(&self, at: NodeId, dst: NodeId) -> Dir {
         let a = self.coord(at);
         let d = self.coord(dst);
         if a.x < d.x {
@@ -149,7 +149,7 @@ impl MeshConfig {
         }
     }
 
-    pub(crate) fn neighbor_of(&self, at: NodeId, dir: Dir) -> NodeId {
+    fn neighbor_of(&self, at: NodeId, dir: Dir) -> NodeId {
         let c = self.coord(at);
         let n = match dir {
             Dir::East => Coord { x: c.x + 1, y: c.y },
@@ -163,70 +163,13 @@ impl MeshConfig {
 }
 
 #[derive(Debug)]
-pub(crate) struct InFlight<M> {
-    pub(crate) at: NodeId,
-    pub(crate) src: NodeId,
-    pub(crate) dst: NodeId,
-    pub(crate) payload: M,
-    pub(crate) injected_at: u64,
-    pub(crate) seq: u64,
-}
-
-/// One router's work for one cycle, shared verbatim by the serial
-/// stepper and the sharded workers so both produce identical routing
-/// decisions: drains `queue` in FIFO order under a per-direction
-/// budget of `bw`, appending local deliveries to `delivered` and
-/// forwarded messages to `arriving`, accumulating counter deltas into
-/// `stats`. `scratch` must be empty on entry; on exit `queue` holds
-/// the messages that stalled this cycle (in order) and `scratch` is
-/// empty again.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn route_node_cycle<M>(
-    cfg: &MeshConfig,
-    cycle: u64,
-    node: usize,
-    bw: usize,
-    queue: &mut VecDeque<InFlight<M>>,
-    scratch: &mut VecDeque<InFlight<M>>,
-    delivered: &mut Vec<(NodeId, M)>,
-    arriving: &mut Vec<(NodeId, InFlight<M>)>,
-    stats: &mut MeshStats,
-    tracer: &Tracer,
-    plane: &'static str,
-) {
-    debug_assert!(scratch.is_empty());
-    let mut budget = [bw; 5];
-    while let Some(msg) = queue.pop_front() {
-        let dir = cfg.route_dir(msg.at, msg.dst);
-        let di = DIRS.iter().position(|&d| d == dir).expect("dir indexed");
-        if budget[di] == 0 {
-            stats.stalled_cycles += 1;
-            tracer.emit(cycle, || TraceEvent::LinkContention { plane, node });
-            scratch.push_back(msg);
-            continue;
-        }
-        budget[di] -= 1;
-        match dir {
-            Dir::Local => {
-                stats.delivered += 1;
-                let latency = cycle - msg.injected_at;
-                stats.total_latency += latency;
-                tracer.emit(cycle, || TraceEvent::OperandRouted {
-                    plane,
-                    src: msg.src.0,
-                    dst: msg.dst.0,
-                    latency,
-                });
-                delivered.push((msg.dst, msg.payload));
-            }
-            _ => {
-                stats.link_traversals += 1;
-                let next = cfg.neighbor_of(msg.at, dir);
-                arriving.push((next, InFlight { at: next, ..msg }));
-            }
-        }
-    }
-    std::mem::swap(queue, scratch);
+struct InFlight<M> {
+    at: NodeId,
+    src: NodeId,
+    dst: NodeId,
+    payload: M,
+    injected_at: u64,
+    seq: u64,
 }
 
 /// A deterministic, dimension-order-routed 2-D mesh.
@@ -262,8 +205,6 @@ pub struct Mesh<M> {
     /// queue each cycle. Invariant: bit `n` is set iff `queues[n]` is
     /// non-empty.
     busy: Vec<u64>,
-    /// Worker pool for the sharded stepper; `None` runs serially.
-    sharding: Option<crate::sharded::ShardedRouter<M>>,
 }
 
 impl<M> Mesh<M> {
@@ -282,7 +223,6 @@ impl<M> Mesh<M> {
             throttled_until: 0,
             scratch: VecDeque::new(),
             busy: vec![0; cfg.nodes().div_ceil(64)],
-            sharding: None,
             cfg,
         }
     }
@@ -393,44 +333,16 @@ impl<M> Mesh<M> {
         } else {
             self.cfg.link_bandwidth
         };
-        if self.sharding.is_some() && !self.tracer.enabled() {
-            self.step_sharded(bw);
-            // The shards may have drained any subset of their queues;
-            // rebuild the occupancy mask wholesale (one pass, only paid
-            // on busy sharded cycles).
-            for (i, word) in self.busy.iter_mut().enumerate() {
-                let mut w = 0u64;
-                for (b, q) in self.queues[i * 64..].iter().take(64).enumerate() {
-                    if !q.is_empty() {
-                        w |= 1 << b;
-                    }
-                }
-                *word = w;
-            }
-        } else {
-            // Visit only occupied queues, in ascending node order (word
-            // order, then bit order — identical to the full scan).
-            for i in 0..self.busy.len() {
-                let mut word = self.busy[i];
-                while word != 0 {
-                    let node = i * 64 + word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    route_node_cycle(
-                        &self.cfg,
-                        self.cycle,
-                        node,
-                        bw,
-                        &mut self.queues[node],
-                        &mut self.scratch,
-                        &mut self.delivered,
-                        &mut self.arriving,
-                        &mut self.stats,
-                        &self.tracer,
-                        self.plane,
-                    );
-                    if self.queues[node].is_empty() {
-                        self.busy[i] &= !(1 << (node % 64));
-                    }
+        // Visit only occupied queues, in ascending node order (word
+        // order, then bit order — identical to the full scan).
+        for i in 0..self.busy.len() {
+            let mut word = self.busy[i];
+            while word != 0 {
+                let node = i * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                self.route_node(node, bw);
+                if self.queues[node].is_empty() {
+                    self.busy[i] &= !(1 << (node % 64));
                 }
             }
         }
@@ -447,42 +359,63 @@ impl<M> Mesh<M> {
         self.arriving = arriving;
     }
 
-    /// One sharded router cycle: fan the non-empty queues out to the
-    /// worker shards, then merge their results in shard order at the
-    /// cycle barrier (see [`crate::sharded`] for the determinism
-    /// argument).
-    fn step_sharded(&mut self, bw: usize) {
-        let router = self.sharding.take().expect("sharding enabled");
-        router.step(
-            self.cycle,
-            bw,
-            &mut self.queues,
-            &mut self.delivered,
-            &mut self.arriving,
-            &mut self.stats,
-        );
-        self.sharding = Some(router);
+    /// One router's work for one cycle: drains `node`'s queue in FIFO
+    /// order under a per-direction budget of `bw`, delivering local
+    /// messages and forwarding the rest to `arriving`. Messages that
+    /// stall stay queued, in order.
+    fn route_node(&mut self, node: usize, bw: usize) {
+        let Mesh {
+            cfg,
+            queues,
+            arriving,
+            delivered,
+            cycle,
+            stats,
+            tracer,
+            plane,
+            scratch,
+            ..
+        } = self;
+        let (cycle, plane) = (*cycle, *plane);
+        let queue = &mut queues[node];
+        debug_assert!(scratch.is_empty());
+        let mut budget = [bw; 5];
+        while let Some(msg) = queue.pop_front() {
+            let dir = cfg.route_dir(msg.at, msg.dst);
+            let di = DIRS.iter().position(|&d| d == dir).expect("dir indexed");
+            if budget[di] == 0 {
+                stats.stalled_cycles += 1;
+                tracer.emit(cycle, || TraceEvent::LinkContention { plane, node });
+                scratch.push_back(msg);
+                continue;
+            }
+            budget[di] -= 1;
+            match dir {
+                Dir::Local => {
+                    stats.delivered += 1;
+                    let latency = cycle - msg.injected_at;
+                    stats.total_latency += latency;
+                    tracer.emit(cycle, || TraceEvent::OperandRouted {
+                        plane,
+                        src: msg.src.0,
+                        dst: msg.dst.0,
+                        latency,
+                    });
+                    delivered.push((msg.dst, msg.payload));
+                }
+                _ => {
+                    stats.link_traversals += 1;
+                    let next = cfg.neighbor_of(msg.at, dir);
+                    arriving.push((next, InFlight { at: next, ..msg }));
+                }
+            }
+        }
+        std::mem::swap(queue, scratch);
     }
 
     /// Removes and returns all messages delivered by previous steps.
     pub fn drain_delivered(&mut self) -> Vec<(NodeId, M)> {
         std::mem::take(&mut self.delivered)
-    }
-}
-
-impl<M: Send + 'static> Mesh<M> {
-    /// Switches the router phase to `threads` worker shards (clamped to
-    /// the node count; `threads <= 1` keeps the serial stepper).
-    ///
-    /// Results are bit-identical to the serial path. Calls while a
-    /// tracer is attached still take effect, but traced steps fall back
-    /// to the serial path so trace files stay byte-identical.
-    pub fn enable_sharding(&mut self, threads: usize) {
-        if threads <= 1 {
-            self.sharding = None;
-            return;
-        }
-        self.sharding = Some(crate::sharded::ShardedRouter::new(self.cfg, threads));
     }
 }
 

@@ -1,10 +1,10 @@
 //! Content-hashed cache of compiled hyperblock programs and their lint
 //! results.
 //!
-//! The scheduler — never a worker — performs lookups and inserts, at
+//! The scheduler — never an attempt — performs lookups and inserts, at
 //! virtual-time events in deterministic order, so hit/miss counts are a
 //! pure function of the job schedule and can be asserted byte-for-byte
-//! in the replay golden. Workers only *compile* on a miss and hand the
+//! in the replay golden. Attempts only *compile* on a miss and hand the
 //! finished [`CompiledWorkload`] back for insertion at the completion
 //! event.
 

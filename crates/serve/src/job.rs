@@ -24,9 +24,9 @@ pub struct JobSpec {
     /// Fault plan applied on the *first* attempt only: retries run on
     /// fresh hardware with the transient condition cleared.
     pub faults: FaultPlan,
-    /// Plant a panic in the worker executing this job (attempt 0 only):
-    /// exercises catch_unwind isolation, poisoned-worker disposal, and
-    /// pool respawn without touching simulator internals.
+    /// Plant a panic in this job's attempt 0: exercises catch_unwind
+    /// isolation and the respawn accounting without touching simulator
+    /// internals.
     pub sabotage: bool,
 }
 

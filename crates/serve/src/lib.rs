@@ -2,7 +2,7 @@
 //!
 //! Long-running experiment campaigns treat the simulator as a *service*:
 //! jobs (workload, composition size, cycle budget) arrive over time,
-//! execute on a pool of workers, and must survive everything the
+//! execute in virtual worker slots, and must survive everything the
 //! robustness layers can throw at them — injected protocol faults,
 //! scheduled core kills, runaway simulations, even a panicking worker —
 //! without dropping or corrupting any *other* job.
@@ -16,9 +16,8 @@
 //! - [`cache`] — a content-hashed cache of compiled hyperblock programs
 //!   and their lint results, owned by the scheduler so hit/miss counts
 //!   are deterministic.
-//! - [`pool`] — persistent worker threads running jobs under
-//!   `catch_unwind`; a panicking job poisons its worker, which is
-//!   disposed of and respawned.
+//! - [`pool`] — inline job execution under `catch_unwind`; a panicking
+//!   attempt becomes a typed outcome and leaves no state behind.
 //! - [`service`] — the virtual-time scheduler: bounded admission queue
 //!   with deterministic load shedding and graceful degradation, per-job
 //!   cycle-budget deadlines, seeded exponential backoff with jitter for

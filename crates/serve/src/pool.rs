@@ -1,17 +1,18 @@
-//! The persistent worker pool: real OS threads executing simulation
-//! jobs, with per-job panic isolation and poisoned-worker respawn.
+//! Job execution with per-attempt panic isolation.
 //!
-//! Each virtual worker slot of the service maps 1:1 to a physical
-//! thread. A job runs under [`std::panic::catch_unwind`]; if it panics,
-//! the worker reports the panic and then *exits* — its state is treated
-//! as poisoned and discarded — and the pool spawns a fresh thread into
-//! the slot. Sibling workers never observe anything but their own jobs,
-//! which is what the panic-isolation test pins down cycle-for-cycle.
+//! The service runs every attempt inline on its own (scheduler) thread:
+//! [`run_attempt`] calls the simulator under
+//! [`std::panic::catch_unwind`] and turns an unwind into
+//! [`ExecOutcome::Panicked`]. Nothing is shared mutably across an
+//! attempt — it reads its request and, on a cache hit, an
+//! `Arc<CompiledWorkload>`; cache inserts happen in the scheduler after
+//! completion — so a panicking job leaves no poisoned state behind and
+//! the next attempt starts clean. Virtual worker slots exist only in the
+//! service's schedule, never as threads.
 //!
 //! Determinism: a job's result is a pure function of its request
-//! (workload content, composition size, budget, fault plan), so physical
-//! thread scheduling cannot leak into outcomes. The *service* keeps all
-//! ordering decisions on virtual time; the pool is just muscle.
+//! (workload content, composition size, budget, fault plan). The
+//! *service* keeps all ordering decisions on virtual time.
 
 use crate::job::JobSpec;
 use clp_core::{
@@ -19,14 +20,16 @@ use clp_core::{
     RunFailure,
 };
 use clp_sim::FaultPlan;
+use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Once;
-use std::thread::JoinHandle;
 
-/// Prefix of pool thread names; the panic hook stays quiet for these so
-/// planted panics don't spray backtraces over test and bench output.
-const WORKER_THREAD_PREFIX: &str = "clp-serve-worker";
+thread_local! {
+    /// Set while [`execute`] runs on this thread; the panic hook stays
+    /// quiet for these panics so planted ones don't spray backtraces
+    /// over test and bench output.
+    static IN_ATTEMPT: Cell<bool> = const { Cell::new(false) };
+}
 
 static HOOK: Once = Once::new();
 
@@ -34,19 +37,34 @@ fn install_quiet_hook() {
     HOOK.call_once(|| {
         let previous = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
-            let in_worker = std::thread::current()
-                .name()
-                .is_some_and(|n| n.starts_with(WORKER_THREAD_PREFIX));
-            if !in_worker {
+            if !IN_ATTEMPT.with(Cell::get) {
                 previous(info);
             }
         }));
     });
 }
 
-/// A request handed to a worker: one attempt of one job. The workload
-/// is resolved at admission (an unknown name is a typed rejection long
-/// before any worker sees it), so the worker never does name lookups.
+/// Holds [`IN_ATTEMPT`] set for its lifetime. Dropping it — on return or
+/// while unwinding — clears the flag, so panics after an attempt are
+/// reported again.
+struct AttemptGuard;
+
+impl AttemptGuard {
+    fn enter() -> Self {
+        IN_ATTEMPT.with(|f| f.set(true));
+        AttemptGuard
+    }
+}
+
+impl Drop for AttemptGuard {
+    fn drop(&mut self) {
+        IN_ATTEMPT.with(|f| f.set(false));
+    }
+}
+
+/// One attempt of one job. The workload is resolved at admission (an
+/// unknown name is a typed rejection long before any attempt runs), so
+/// execution never does name lookups.
 pub struct ExecRequest {
     /// The job being attempted.
     pub spec: JobSpec,
@@ -67,11 +85,11 @@ pub struct ExecRequest {
     /// PR-5 bit-identity contract — so the virtual schedule is the same
     /// either way.
     pub profile: bool,
-    /// Cache-hit program, or `None` when the worker must compile.
+    /// Cache-hit program, or `None` when the attempt must compile.
     pub compiled: Option<std::sync::Arc<CompiledWorkload>>,
 }
 
-/// What a worker reports back.
+/// How an attempt ended.
 pub enum ExecOutcome {
     /// The run completed and verified.
     Success {
@@ -83,15 +101,13 @@ pub enum ExecOutcome {
     },
     /// The run failed with a typed error.
     Failure(RunFailure),
-    /// The job panicked; the worker is poisoned and has exited.
+    /// The job panicked; the unwind was caught.
     Panicked,
 }
 
-/// A worker's response: the job id it ran, what happened, and (on a
-/// cache miss) the program it compiled, for the scheduler to insert.
+/// An attempt's result: what happened and (on a cache miss) the
+/// program it compiled, for the scheduler to insert.
 pub struct ExecResponse {
-    /// Echo of the request's job id.
-    pub job_id: u64,
     /// The outcome.
     pub outcome: ExecOutcome,
     /// Compiled on this attempt (cache miss): the program plus its lint
@@ -111,7 +127,6 @@ fn execute(req: &ExecRequest) -> ExecResponse {
                 Ok(cw) => std::sync::Arc::new(cw),
                 Err(e) => {
                     return ExecResponse {
-                        job_id: req.spec.id,
                         outcome: ExecOutcome::Failure(e),
                         compiled_here: None,
                     };
@@ -137,120 +152,23 @@ fn execute(req: &ExecRequest) -> ExecResponse {
         Err(e) => ExecOutcome::Failure(e),
     };
     ExecResponse {
-        job_id: req.spec.id,
         outcome,
         compiled_here,
     }
 }
 
-struct Slot {
-    tx: Sender<ExecRequest>,
-    rx: Receiver<ExecResponse>,
-    handle: Option<JoinHandle<()>>,
-}
-
-fn spawn_worker(index: usize) -> Slot {
-    let (req_tx, req_rx) = channel::<ExecRequest>();
-    let (resp_tx, resp_rx) = channel::<ExecResponse>();
-    let handle = std::thread::Builder::new()
-        .name(format!("{WORKER_THREAD_PREFIX}-{index}"))
-        .spawn(move || {
-            while let Ok(req) = req_rx.recv() {
-                let job_id = req.spec.id;
-                match catch_unwind(AssertUnwindSafe(|| execute(&req))) {
-                    Ok(resp) => {
-                        if resp_tx.send(resp).is_err() {
-                            return;
-                        }
-                    }
-                    Err(_) => {
-                        // Poisoned: report, then dispose of this thread.
-                        // Whatever half-mutated state the job left behind
-                        // dies with it; the pool respawns the slot.
-                        let _ = resp_tx.send(ExecResponse {
-                            job_id,
-                            outcome: ExecOutcome::Panicked,
-                            compiled_here: None,
-                        });
-                        return;
-                    }
-                }
-            }
-        })
-        .expect("spawn worker thread");
-    Slot {
-        tx: req_tx,
-        rx: resp_rx,
-        handle: Some(handle),
-    }
-}
-
-/// The pool: `workers` persistent threads, respawned on poisoning.
-pub struct WorkerPool {
-    slots: Vec<Slot>,
-    respawns: u64,
-}
-
-impl WorkerPool {
-    /// Spawns `workers` threads (at least one).
-    #[must_use]
-    pub fn new(workers: usize) -> Self {
-        install_quiet_hook();
-        WorkerPool {
-            slots: (0..workers.max(1)).map(spawn_worker).collect(),
-            respawns: 0,
-        }
-    }
-
-    /// Number of worker slots.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Workers respawned after poisoning so far.
-    #[must_use]
-    pub fn respawns(&self) -> u64 {
-        self.respawns
-    }
-
-    /// Hands a request to slot `i` without waiting — the service
-    /// dispatches a whole batch first so independent jobs execute on
-    /// their threads in parallel, then awaits in worker-index order.
-    pub fn dispatch(&self, i: usize, req: ExecRequest) {
-        self.slots[i].tx.send(req).expect("worker accepts requests");
-    }
-
-    /// Blocks for slot `i`'s response to its in-flight request. If the
-    /// job panicked, the poisoned thread has already exited; the slot is
-    /// respawned here, so the pool is whole again before the next
-    /// dispatch round.
-    pub fn await_response(&mut self, i: usize) -> ExecResponse {
-        let resp = self.slots[i].rx.recv().expect("worker always responds");
-        if matches!(resp.outcome, ExecOutcome::Panicked) {
-            if let Some(h) = self.slots[i].handle.take() {
-                let _ = h.join();
-            }
-            self.slots[i] = spawn_worker(i);
-            self.respawns += 1;
-        }
-        resp
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        // Close the request channels, then reap the threads.
-        for slot in &mut self.slots {
-            let (dead_tx, _) = channel();
-            slot.tx = dead_tx;
-        }
-        for slot in &mut self.slots {
-            if let Some(h) = slot.handle.take() {
-                let _ = h.join();
-            }
-        }
-    }
+/// Runs one attempt on the calling thread, catching a panic as
+/// [`ExecOutcome::Panicked`].
+pub fn run_attempt(req: &ExecRequest) -> ExecResponse {
+    install_quiet_hook();
+    catch_unwind(AssertUnwindSafe(|| {
+        let _guard = AttemptGuard::enter();
+        execute(req)
+    }))
+    .unwrap_or(ExecResponse {
+        outcome: ExecOutcome::Panicked,
+        compiled_here: None,
+    })
 }
 
 #[cfg(test)]
@@ -271,36 +189,27 @@ mod tests {
     }
 
     #[test]
-    fn pool_runs_a_job_and_returns_the_compile() {
-        let mut pool = WorkerPool::new(1);
-        pool.dispatch(0, plain_request(7, "conv", 8, 200_000));
-        let resp = pool.await_response(0);
-        assert_eq!(resp.job_id, 7);
+    fn attempt_runs_a_job_and_returns_the_compile() {
+        let resp = run_attempt(&plain_request(7, "conv", 8, 200_000));
         assert!(matches!(resp.outcome, ExecOutcome::Success { cycles, .. } if cycles > 100));
         assert!(resp.compiled_here.is_some(), "miss compiles");
-        assert_eq!(pool.respawns(), 0);
     }
 
     #[test]
-    fn planted_panic_poisons_and_respawns_the_worker() {
-        let mut pool = WorkerPool::new(1);
+    fn planted_panic_is_caught_and_the_next_attempt_succeeds() {
         let mut req = plain_request(1, "conv", 4, 200_000);
         req.sabotage = true;
-        pool.dispatch(0, req);
-        let resp = pool.await_response(0);
+        let resp = run_attempt(&req);
         assert!(matches!(resp.outcome, ExecOutcome::Panicked));
-        assert_eq!(pool.respawns(), 1);
-        // The respawned worker is immediately serviceable.
-        pool.dispatch(0, plain_request(2, "conv", 4, 200_000));
-        let resp = pool.await_response(0);
+        assert!(resp.compiled_here.is_none());
+        // Nothing was poisoned: the next attempt runs clean.
+        let resp = run_attempt(&plain_request(2, "conv", 4, 200_000));
         assert!(matches!(resp.outcome, ExecOutcome::Success { .. }));
     }
 
     #[test]
     fn deadline_kill_is_reported_as_typed_failure() {
-        let mut pool = WorkerPool::new(1);
-        pool.dispatch(0, plain_request(3, "conv", 8, 500));
-        let resp = pool.await_response(0);
+        let resp = run_attempt(&plain_request(3, "conv", 8, 500));
         match resp.outcome {
             ExecOutcome::Failure(f) => {
                 assert_eq!(f.class(), clp_core::FailureClass::DeadlineKill);
@@ -311,17 +220,11 @@ mod tests {
 
     #[test]
     fn results_are_pure_functions_of_the_request() {
-        let mut pool = WorkerPool::new(2);
-        pool.dispatch(0, plain_request(1, "bezier", 4, 200_000));
-        pool.dispatch(1, plain_request(2, "bezier", 4, 200_000));
-        let a = pool.await_response(0);
-        let b = pool.await_response(1);
+        let a = run_attempt(&plain_request(1, "bezier", 4, 200_000));
+        let b = run_attempt(&plain_request(2, "bezier", 4, 200_000));
         match (a.outcome, b.outcome) {
-            (
-                ExecOutcome::Success { cycles: ca, .. },
-                ExecOutcome::Success { cycles: cb, .. },
-            ) => {
-                assert_eq!(ca, cb, "same request, same cycles, any thread");
+            (ExecOutcome::Success { cycles: ca, .. }, ExecOutcome::Success { cycles: cb, .. }) => {
+                assert_eq!(ca, cb, "same request, same cycles");
             }
             _ => panic!("both succeed"),
         }

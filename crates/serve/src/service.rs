@@ -1,15 +1,16 @@
-//! The deterministic service loop: virtual-time scheduling over a
-//! physical worker pool.
+//! The deterministic service loop: virtual-time scheduling over
+//! virtual worker slots.
 //!
 //! All policy decisions — admission, shedding, degradation, dispatch,
 //! retry timing — happen on a *virtual* tick clock, with event classes
 //! processed in a fixed order per tick (completions by worker index,
 //! then retry releases by job id, then arrivals in schedule order, then
-//! dispatch by worker index). Job execution is physically parallel on
-//! the pool threads, but every result is a pure function of its request,
-//! so the virtual schedule — and therefore the entire service report —
-//! is bit-for-bit reproducible from `(arrival schedule, config)`. No
-//! wall-clock exists anywhere in this module.
+//! dispatch by worker index). Each dispatched attempt executes inline,
+//! on the scheduler's thread, under `catch_unwind` ([`run_attempt`]);
+//! every result is a pure function of its request, so the virtual
+//! schedule — and therefore the entire service report — is bit-for-bit
+//! reproducible from `(arrival schedule, config)`. No wall-clock exists
+//! anywhere in this module.
 //!
 //! Service time charged per attempt:
 //! - success: the simulated cycle count (plus the compile charge on a
@@ -21,8 +22,8 @@
 //!   validation failures: a small fixed validation charge;
 //! - verify mismatch: the budget (the run finished but its exact cycle
 //!   count is not reported with the error — documented pessimism);
-//! - planted panic: a fixed respawn charge for disposing of the
-//!   poisoned worker and spawning a fresh one.
+//! - planted panic: a fixed respawn charge, standing in for the cost of
+//!   replacing a poisoned worker.
 //!
 //! [`serve_scoped`] additionally threads a clp-scope [`ScopeRecorder`]
 //! through the same event points, recording per-job lifecycle spans,
@@ -33,7 +34,7 @@
 
 use crate::cache::{content_hash, CacheEntry, CompileCache};
 use crate::job::{JobOutcome, JobSpec, Rejected};
-use crate::pool::{ExecOutcome, ExecRequest, ExecResponse, WorkerPool};
+use crate::pool::{run_attempt, ExecOutcome, ExecRequest, ExecResponse};
 use clp_core::{FailureClass, RunFailure};
 use clp_obs::{AttemptEnd, ScopeOptions, ScopeRecorder, ScopeReport};
 use clp_sim::fault::Prng;
@@ -46,7 +47,8 @@ use std::collections::{BTreeMap, VecDeque};
 /// a clock.
 #[derive(Clone, Debug, Serialize)]
 pub struct ServiceConfig {
-    /// Worker slots (and physical pool threads).
+    /// Virtual worker slots: how many attempts may be in service at
+    /// once on the virtual clock.
     pub workers: usize,
     /// Hard bound of the submission queue: an arrival finding this many
     /// jobs queued is shed with [`Rejected::Overloaded`].
@@ -64,7 +66,8 @@ pub struct ServiceConfig {
     pub backoff_cap: u32,
     /// Ticks charged for compiling on a cache miss.
     pub compile_ticks: u64,
-    /// Ticks charged for disposing of a poisoned worker and respawning.
+    /// Ticks charged for an attempt that panicked (the virtual cost of
+    /// replacing a poisoned worker).
     pub respawn_ticks: u64,
     /// Ticks charged for attempts rejected before the machine ran
     /// (compose/placement errors, kill-schedule validation).
@@ -114,7 +117,7 @@ pub struct ServiceTotals {
     pub deadline_kills: u64,
     /// Attempts that panicked in the worker.
     pub panics: u64,
-    /// Workers respawned after poisoning.
+    /// Worker slots respawned after a panic (one per panicked attempt).
     pub respawns: u64,
     /// Attempts that failed transiently (faults, recovery failure,
     /// placement).
@@ -272,8 +275,8 @@ fn service_ticks(
 
 /// Runs the service over a pre-generated arrival schedule (strictly
 /// increasing ticks) and drains it completely: every admitted job
-/// reaches a terminal record before the function returns, and the pool
-/// threads are joined on drop — the graceful-shutdown contract.
+/// reaches a terminal record before the function returns — the
+/// graceful-shutdown contract.
 #[must_use]
 pub fn serve(schedule: Vec<(u64, JobSpec)>, cfg: &ServiceConfig) -> ServiceResult {
     serve_scoped(schedule, cfg, None).0
@@ -293,7 +296,6 @@ pub fn serve_scoped(
     cfg: &ServiceConfig,
     scope: Option<&ScopeOptions>,
 ) -> (ServiceResult, Option<ScopeReport>) {
-    let mut pool = WorkerPool::new(cfg.workers);
     let mut cache = CompileCache::new();
     let mut workers: Vec<Option<InFlight>> = (0..cfg.workers.max(1)).map(|_| None).collect();
     let mut queue: VecDeque<JobState> = VecDeque::new();
@@ -358,12 +360,9 @@ pub fn serve_scoped(
             admit(spec, now, cfg, &mut queue, &mut ledger);
         }
 
-        // 4. Dispatch to free workers, in worker-index order. The whole
-        // batch is sent before any response is awaited, so independent
-        // jobs execute physically in parallel; the barrier keeps every
-        // virtual decision downstream of deterministic state only.
-        let mut batch: Vec<(usize, JobState, u64, bool)> = Vec::new();
-        for (i, slot) in workers.iter().enumerate() {
+        // 4. Dispatch to free workers, in worker-index order: look up,
+        // execute, record.
+        for (i, slot) in workers.iter_mut().enumerate() {
             if slot.is_some() {
                 continue;
             }
@@ -372,34 +371,30 @@ pub fn serve_scoped(
             let hit = cache.lookup(key);
             let miss = hit.is_none();
             let first_attempt = job.attempt == 0;
-            pool.dispatch(
-                i,
-                ExecRequest {
-                    spec: job.spec.clone(),
-                    workload: job.workload.clone(),
-                    cores: job.granted_cores,
-                    budget: job.budget,
-                    // Attempt-0 faults only: a retry runs on fresh
-                    // hardware with the transient condition cleared.
-                    faults: if first_attempt {
-                        job.spec.faults
-                    } else {
-                        FaultPlan::none()
-                    },
-                    sabotage: first_attempt && job.spec.sabotage,
-                    profile: profile_jobs,
-                    compiled: hit.map(|e| e.compiled),
+            let response = run_attempt(&ExecRequest {
+                spec: job.spec.clone(),
+                workload: job.workload.clone(),
+                cores: job.granted_cores,
+                budget: job.budget,
+                // Attempt-0 faults only: a retry runs on fresh
+                // hardware with the transient condition cleared.
+                faults: if first_attempt {
+                    job.spec.faults
+                } else {
+                    FaultPlan::none()
                 },
-            );
-            batch.push((i, job, key, miss));
-        }
-        for (i, job, key, miss) in batch {
-            let response = pool.await_response(i);
+                sabotage: first_attempt && job.spec.sabotage,
+                profile: profile_jobs,
+                compiled: hit.map(|e| e.compiled),
+            });
+            if matches!(response.outcome, ExecOutcome::Panicked) {
+                ledger.totals.respawns += 1;
+            }
             let ticks = service_ticks(cfg, &response.outcome, miss, job.budget);
             if let Some(s) = ledger.scope.as_mut() {
                 s.dispatched(job.spec.id, i, now, now + ticks, !miss, cfg.compile_ticks);
             }
-            workers[i] = Some(InFlight {
+            *slot = Some(InFlight {
                 done_at: now + ticks,
                 job,
                 response,
@@ -419,7 +414,6 @@ pub fn serve_scoped(
     ledger.totals.cache_misses = cache.misses();
     ledger.totals.cache_entries = cache.len() as u64;
     ledger.totals.lint_warnings = cache.lint_warnings();
-    ledger.totals.respawns = pool.respawns();
     ledger.totals.drained_at = now;
     ledger.records.sort_by_key(|r| r.id);
     let report = ledger.scope.map(|s| s.finish(now, cfg.seed));
@@ -471,7 +465,12 @@ fn admit(
     let class = workload.class.label();
     if spec.cores == 0 || !spec.cores.is_power_of_two() || spec.cores > 32 {
         ledger.totals.rejected_invalid += 1;
-        reject(ledger, &spec, class, Rejected::InvalidCores { cores: spec.cores });
+        reject(
+            ledger,
+            &spec,
+            class,
+            Rejected::InvalidCores { cores: spec.cores },
+        );
         return;
     }
     if spec.budget == 0 {

@@ -244,7 +244,8 @@ fn malformed_jobs_get_typed_rejections_not_panics() {
 fn service_drains_gracefully_on_shutdown() {
     // Drain contract: serve() returns only after every admitted job —
     // including retries in flight when arrivals stop — reaches a
-    // terminal record, and the pool threads are joined on drop.
+    // terminal record. Attempts run inline on the calling thread, so
+    // nothing outlives the call.
     let acfg = chaos_arrivals();
     let scfg = quiet_cfg();
     let r = serve(arrivals::generate(&acfg), &scfg);
