@@ -35,6 +35,8 @@
 //! DESIGN.md "Execution engine") and the per-cell and per-size
 //! speedups land in `BENCH_speedup.json`.
 
+use clp_bench::cli::load_json;
+use clp_core::cli::{die, Flags};
 use clp_core::{compile_workload, run_compiled_observed, ObsOptions, ProcessorConfig};
 use clp_obs::attribute_buckets;
 use clp_workloads::suite;
@@ -42,64 +44,66 @@ use serde::Value;
 use std::sync::mpsc;
 use std::thread;
 
+const PROG: &str = "clp-bench";
+
 /// The composition sizes of the regression matrix.
 const BENCH_SIZES: [usize; 5] = [1, 2, 4, 8, 16];
 
+/// A baseline cell: `(workload, cores) -> (cycles, buckets)`.
+type BaselineCell = ((String, u64), (u64, Value));
+
+/// A serial-baseline cell: `(workload, cores) -> wall ms`.
+type BaselineWall = ((String, u64), f64);
+
 struct Args {
     out: String,
-    check: Option<String>,
+    /// `--check`: the baseline's path and cells, loaded before the run.
+    check: Option<(String, Vec<BaselineCell>)>,
     threshold: f64,
     explain: bool,
     time: bool,
     reps: usize,
-    speedup: Option<String>,
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("clp-bench: {msg}");
-    std::process::exit(2);
+    /// `--speedup`: the serial baseline's path and wall times.
+    speedup: Option<(String, Vec<BaselineWall>)>,
 }
 
 fn parse_args() -> Args {
-    let mut args = Args {
-        out: "BENCH_suite.json".to_string(),
-        check: None,
-        threshold: 2.0,
-        explain: false,
-        time: false,
-        reps: 3,
-        speedup: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut flag_value = |flag: &str| {
-            it.next()
-                .unwrap_or_else(|| die(&format!("{flag} requires a value")))
-        };
-        match a.as_str() {
-            "--out" => args.out = flag_value("--out"),
-            "--check" => args.check = Some(flag_value("--check")),
-            "--explain" => args.explain = true,
-            "--time" => args.time = true,
-            "--speedup" => args.speedup = Some(flag_value("--speedup")),
-            "--reps" => {
-                let v = flag_value("--reps");
-                match v.parse() {
-                    Ok(r) if r >= 1 => args.reps = r,
-                    _ => die(&format!("--reps wants a count >= 1, got `{v}`")),
-                }
-            }
-            "--threshold" => {
-                let v = flag_value("--threshold");
-                match v.parse() {
-                    Ok(t) if t >= 0.0 => args.threshold = t,
-                    _ => die(&format!("bad --threshold `{v}`")),
-                }
-            }
-            _ => die(&format!("unexpected argument `{a}`")),
+    let (mut out, mut check, mut threshold, mut explain) = (None, None, 2.0, false);
+    let (mut time, mut reps, mut speedup) = (false, None, None);
+    let mut flags = Flags::from_env(PROG);
+    while let Some(flag) = flags.next_flag() {
+        match flag.as_str() {
+            "--out" => out = Some(flags.value(&flag)),
+            "--check" => check = Some(flags.value(&flag)),
+            "--explain" => explain = true,
+            "--time" => time = true,
+            "--speedup" => speedup = Some(flags.value(&flag)),
+            "--reps" => reps = Some(flags.at_least(&flag, 1)),
+            "--threshold" => threshold = flags.at_least(&flag, 0.0),
+            _ => flags.unknown(&flag),
         }
     }
-    args
+    flags.positionals(0);
+    // Refuse flags the chosen mode would silently ignore.
+    if time && (check.is_some() || explain || out.is_some()) {
+        flags.die("--check, --explain and --out do not apply with --time");
+    }
+    if !time && (reps.is_some() || speedup.is_some()) {
+        flags.die("--reps and --speedup need --time");
+    }
+    if explain && check.is_none() {
+        flags.die("--explain needs --check");
+    }
+    // Load the baselines now, so a bad file fails before the long run.
+    Args {
+        out: out.unwrap_or_else(|| "BENCH_suite.json".to_string()),
+        check: check.map(|path| (path.clone(), baseline_cells(&load_json(PROG, &path)))),
+        threshold,
+        explain,
+        time,
+        reps: reps.unwrap_or(3),
+        speedup: speedup.map(|path| (path.clone(), baseline_walls(&load_json(PROG, &path)))),
+    }
 }
 
 /// One measured cell: `(cores, cycles, ipc, run-level buckets json)`.
@@ -188,11 +192,14 @@ fn to_doc(rows: &[(String, Vec<Cell>)]) -> Value {
     ])
 }
 
-/// Baseline cells as `(workload, cores) -> (cycles, buckets)`.
-fn baseline_cells(doc: &Value) -> Vec<((String, u64), (u64, Value))> {
+/// The cells of a `clp-bench-v1` baseline.
+fn baseline_cells(doc: &Value) -> Vec<BaselineCell> {
     let mut out = Vec::new();
     let Some(workloads) = doc.get("workloads").as_array() else {
-        die("baseline has no `workloads` array (expected clp-bench-v1)");
+        die(
+            PROG,
+            "baseline has no `workloads` array (expected clp-bench-v1)",
+        );
     };
     for w in workloads {
         let Some(name) = w.get("name").as_str() else {
@@ -307,9 +314,12 @@ fn time_doc(cells: &[TimedCell], reps: usize) -> Value {
 }
 
 /// Baseline wall-clock cells as `(workload, cores) -> wall_ms`.
-fn baseline_walls(doc: &Value) -> Vec<((String, u64), f64)> {
+fn baseline_walls(doc: &Value) -> Vec<BaselineWall> {
     let Some(cells) = doc.get("cells").as_array() else {
-        die("speedup baseline has no `cells` array (expected clp-bench-time-v1)");
+        die(
+            PROG,
+            "speedup baseline has no `cells` array (expected clp-bench-time-v1)",
+        );
     };
     cells
         .iter()
@@ -322,7 +332,7 @@ fn baseline_walls(doc: &Value) -> Vec<((String, u64), f64)> {
         .collect()
 }
 
-fn speedup_doc(cells: &[TimedCell], baseline: &[((String, u64), f64)], from: &str) -> Value {
+fn speedup_doc(cells: &[TimedCell], baseline: &[BaselineWall], from: &str) -> Value {
     let mut rows = Vec::new();
     // Per-size aggregates over cells present in both measurements:
     // total serial-baseline wall over total fresh wall (the honest
@@ -393,17 +403,13 @@ fn run_time_mode(args: &Args) {
     let doc = time_doc(&cells, args.reps);
     let out = "BENCH_wallclock.json";
     std::fs::write(out, serde_json::to_string_pretty(&doc).expect("serializes"))
-        .unwrap_or_else(|e| die(&format!("cannot write `{out}`: {e}")));
+        .unwrap_or_else(|e| die(PROG, format!("cannot write `{out}`: {e}")));
     println!("clp-bench: wrote {} timed cells to {out}", cells.len());
-    if let Some(path) = &args.speedup {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| die(&format!("cannot read `{path}`: {e}")));
-        let base = serde_json::from_str::<Value>(&text)
-            .unwrap_or_else(|e| die(&format!("cannot parse `{path}`: {e}")));
-        let doc = speedup_doc(&cells, &baseline_walls(&base), path);
+    if let Some((path, walls)) = &args.speedup {
+        let doc = speedup_doc(&cells, walls, path);
         let out = "BENCH_speedup.json";
         std::fs::write(out, serde_json::to_string_pretty(&doc).expect("serializes"))
-            .unwrap_or_else(|e| die(&format!("cannot write `{out}`: {e}")));
+            .unwrap_or_else(|e| die(PROG, format!("cannot write `{out}`: {e}")));
         for row in doc.get("by_size").as_array().unwrap_or(&Vec::new()) {
             println!(
                 "clp-bench: x{} suite speedup {:.2} (geomean {:.2}) over {} cells",
@@ -441,7 +447,7 @@ fn main() {
         &args.out,
         serde_json::to_string_pretty(&doc).expect("serializes"),
     )
-    .unwrap_or_else(|e| die(&format!("cannot write `{}`: {e}", args.out)));
+    .unwrap_or_else(|e| die(PROG, format!("cannot write `{}`: {e}", args.out)));
     println!(
         "clp-bench: wrote {} workloads x {:?} cores to {}",
         rows.len(),
@@ -449,16 +455,13 @@ fn main() {
         args.out
     );
 
-    if let Some(baseline_path) = &args.check {
-        let text = std::fs::read_to_string(baseline_path)
-            .unwrap_or_else(|e| die(&format!("cannot read `{baseline_path}`: {e}")));
-        let baseline = serde_json::from_str::<Value>(&text)
-            .unwrap_or_else(|e| die(&format!("cannot parse `{baseline_path}`: {e}")));
+    if let Some((baseline_path, baseline)) = &args.check {
         let mut regressions = Vec::new();
-        for ((name, cores), (want, want_buckets)) in baseline_cells(&baseline) {
+        for ((name, cores), (want, want_buckets)) in baseline {
+            let (cores, want) = (*cores, *want);
             let got = rows
                 .iter()
-                .find(|(n, _)| *n == name)
+                .find(|(n, _)| n == name)
                 .and_then(|(_, cells)| cells.iter().find(|(n, ..)| *n as u64 == cores));
             match got {
                 None => regressions.push(format!("{name} x{cores}: cell disappeared")),
@@ -472,7 +475,7 @@ fn main() {
                         if args.explain {
                             // Attribute the regression to the buckets
                             // that moved, largest movers first.
-                            for e in attribute_buckets(&want_buckets, got_buckets).iter().take(3) {
+                            for e in attribute_buckets(want_buckets, got_buckets).iter().take(3) {
                                 msg.push_str(&format!(
                                     "\n      {}: {} -> {} ({:+})",
                                     e.label,
@@ -483,7 +486,7 @@ fn main() {
                             }
                             // How much of the regression is headroom:
                             // tightness against the static cycle floor.
-                            if let Some(bound) = static_floor(&name, cores as usize) {
+                            if let Some(bound) = static_floor(name, cores as usize) {
                                 msg.push_str(&format!(
                                     "\n      static floor {bound} cycles: tightness \
                                      {:.2}x -> {:.2}x",
@@ -500,7 +503,7 @@ fn main() {
         if regressions.is_empty() {
             println!(
                 "clp-bench: {} cells within {:.2}% of {baseline_path}",
-                baseline_cells(&baseline).len(),
+                baseline.len(),
                 args.threshold
             );
         } else {

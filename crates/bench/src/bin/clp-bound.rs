@@ -24,74 +24,77 @@
 //! [`clp_alloc::SpeedupCurve::analytic`].
 
 use clp_alloc::SpeedupCurve;
+use clp_bench::cli::load_json;
+use clp_core::cli::{die, Flags};
 use clp_core::{compile_workload, run_compiled_observed, ObsOptions, ProcessorConfig};
 use clp_lint::{bound_program, LintConfig, ProgramBound};
-use clp_workloads::suite;
+use clp_workloads::Workload;
 use serde::Value;
+
+const PROG: &str = "clp-bound";
 
 const DEFAULT_CORES: [usize; 5] = [1, 2, 4, 8, 16];
 
 struct Args {
-    workloads: Vec<String>,
+    workloads: Vec<Workload>,
     cores: Vec<usize>,
     json: bool,
-    check: Option<String>,
+    /// `--check`: the baseline's path and cells, loaded before the run.
+    check: Option<(String, Vec<BaselineCell>)>,
 }
 
-fn die(msg: &str) -> ! {
-    eprintln!("clp-bound: {msg}");
-    std::process::exit(2);
-}
+/// A `clp-bound-v1` baseline cell: `(workload, cores, bound, measured)`.
+type BaselineCell = (String, u64, u64, u64);
 
 fn parse_args() -> Args {
-    let mut args = Args {
-        workloads: Vec::new(),
-        cores: DEFAULT_CORES.to_vec(),
-        json: false,
-        check: None,
-    };
-    let mut want_suite = false;
-    let mut positional = 0;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut flag_value = |flag: &str| {
-            it.next()
-                .unwrap_or_else(|| die(&format!("{flag} requires a value")))
-        };
-        match a.as_str() {
-            "--suite" => want_suite = true,
-            "--json" => args.json = true,
-            "--check" => args.check = Some(flag_value("--check")),
+    let (mut suite, mut json, mut check) = (false, false, None);
+    let mut cores = DEFAULT_CORES.to_vec();
+    let mut flags = Flags::from_env(PROG);
+    while let Some(flag) = flags.next_flag() {
+        match flag.as_str() {
+            "--suite" => suite = true,
+            "--json" => json = true,
+            "--check" => check = Some(flags.value(&flag)),
             "--cores" => {
-                let v = flag_value("--cores");
-                let parsed: Result<Vec<usize>, _> = v.split(',').map(str::parse).collect();
-                match parsed {
-                    Ok(cs) if !cs.is_empty() && cs.iter().all(|&c| c > 0) => args.cores = cs,
-                    _ => die(&format!("bad --cores `{v}`")),
-                }
+                let v = flags.value(&flag);
+                cores = v
+                    .split(',')
+                    .map(|c| flags.parse_at_least(&flag, c, 1))
+                    .collect();
             }
-            _ => {
-                match positional {
-                    0 => args.workloads.push(a),
-                    1 => match a.parse() {
-                        Ok(c) if c > 0 => args.cores = vec![c],
-                        _ => die(&format!("bad core count `{a}`")),
-                    },
-                    _ => die(&format!("unexpected argument `{a}`")),
-                }
-                positional += 1;
-            }
+            _ => flags.unknown(&flag),
         }
     }
-    if want_suite {
-        args.workloads = suite::all()
-            .into_iter()
-            .map(|w| w.name.to_string())
-            .collect();
-    } else if args.workloads.is_empty() {
-        die("pass a workload name or --suite");
+    let (workloads, one) = flags.suite_or_one(suite);
+    Args {
+        workloads,
+        cores: one.map_or(cores, |c| vec![c]),
+        json,
+        check: check.map(|path| (path.clone(), baseline_cells(&load_json(PROG, &path), &path))),
     }
-    args
+}
+
+/// The cells of a `clp-bound-v1` baseline; dies on a malformed one.
+fn baseline_cells(doc: &Value, path: &str) -> Vec<BaselineCell> {
+    let Value::Array(cells) = &doc["cells"] else {
+        die(PROG, format!("{path} has no `cells` array"));
+    };
+    cells
+        .iter()
+        .map(|c| {
+            match (
+                c["workload"].as_str(),
+                c["cores"].as_u64(),
+                c["bound"].as_u64(),
+                c["measured"].as_u64(),
+            ) {
+                (Some(wl), Some(cores), Some(bound), Some(measured)) => {
+                    (wl.to_string(), cores, bound, measured)
+                }
+                _ => die(PROG, format!("{path} has a malformed cell")),
+            }
+        })
+        .collect()
 }
 
 struct Cell {
@@ -141,15 +144,9 @@ fn main() {
     let mut cells: Vec<Cell> = Vec::new();
     let mut violations: Vec<String> = Vec::new();
 
-    for name in &args.workloads {
-        let w = suite::by_name(name).unwrap_or_else(|| {
-            let names: Vec<&str> = suite::all().into_iter().map(|w| w.name).collect();
-            die(&format!(
-                "unknown workload `{name}`; available: {}",
-                names.join(", ")
-            ))
-        });
-        let cw = compile_workload(&w).unwrap_or_else(|e| die(&format!("{name}: {e}")));
+    for w in &args.workloads {
+        let name = w.name;
+        let cw = compile_workload(w).unwrap_or_else(|e| die(PROG, format!("{name}: {e}")));
         for &cores in &args.cores {
             let pb = bound_program(&cw.edge, &cfg, cores);
             let obs = ObsOptions {
@@ -157,7 +154,7 @@ fn main() {
                 ..ObsOptions::default()
             };
             let r = run_compiled_observed(&cw, &ProcessorConfig::tflex(cores), &obs)
-                .unwrap_or_else(|e| die(&format!("{name} on {cores} cores: {e}")));
+                .unwrap_or_else(|e| die(PROG, format!("{name} on {cores} cores: {e}")));
             let measured = r.stats.cycles;
             if pb.cycles > measured {
                 violations.push(format!(
@@ -181,7 +178,7 @@ fn main() {
                 }
             }
             cells.push(Cell {
-                workload: name.clone(),
+                workload: name.to_string(),
                 cores,
                 bound: pb,
                 measured,
@@ -192,16 +189,16 @@ fn main() {
     let curves: Vec<(String, SpeedupCurve)> = args
         .workloads
         .iter()
-        .filter_map(|name| {
+        .filter_map(|w| {
             let samples: Vec<(usize, u64)> = cells
                 .iter()
-                .filter(|c| &c.workload == name)
+                .filter(|c| c.workload == w.name)
                 .map(|c| (c.cores, c.bound.cycles))
                 .collect();
             samples
                 .iter()
                 .any(|&(c, _)| c == 1)
-                .then(|| (name.clone(), SpeedupCurve::analytic(name, &samples)))
+                .then(|| (w.name.to_string(), SpeedupCurve::analytic(w.name, &samples)))
         })
         .collect();
 
@@ -282,24 +279,9 @@ fn main() {
     }
     let mut failed = !violations.is_empty();
 
-    if let Some(path) = &args.check {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
-        let doc: Value = serde_json::from_str(&text)
-            .unwrap_or_else(|e| die(&format!("bad json in {path}: {e}")));
-        let Value::Array(baseline) = &doc["cells"] else {
-            die(&format!("{path} has no `cells` array"));
-        };
+    if let Some((path, baseline)) = &args.check {
         let mut mismatches = 0usize;
-        for want in baseline {
-            let (Some(wl), Some(cores), Some(bound), Some(measured)) = (
-                want["workload"].as_str(),
-                want["cores"].as_u64(),
-                want["bound"].as_u64(),
-                want["measured"].as_u64(),
-            ) else {
-                die(&format!("{path} has a malformed cell"));
-            };
+        for (wl, cores, bound, measured) in baseline.iter().cloned() {
             let got = cells
                 .iter()
                 .find(|c| c.workload == wl && c.cores as u64 == cores);

@@ -17,43 +17,27 @@
 //! Exit codes: 0 = compared (even if everything moved), 2 = usage or
 //! parse error.
 
+use clp_bench::cli::load_json;
+use clp_core::cli::{die, Flags};
 use clp_obs::diff_documents;
-use serde::Value;
 
-fn die(msg: &str) -> ! {
-    eprintln!("clp-diff: {msg}");
-    eprintln!("usage: clp-diff <before.json> <after.json> [--top N]");
-    std::process::exit(2);
-}
-
-fn load(path: &str) -> Value {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| die(&format!("cannot read `{path}`: {e}")));
-    serde_json::from_str::<Value>(&text)
-        .unwrap_or_else(|e| die(&format!("cannot parse `{path}`: {e}")))
-}
+const PROG: &str = "clp-diff";
 
 fn main() {
-    let mut files = Vec::new();
     let mut top = 10usize;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--top" => {
-                let v = it.next().unwrap_or_else(|| die("--top requires a value"));
-                match v.parse() {
-                    Ok(t) => top = t,
-                    Err(_) => die(&format!("bad --top `{v}`")),
-                }
-            }
-            _ => files.push(a),
+    let mut flags = Flags::from_env(PROG);
+    while let Some(flag) = flags.next_flag() {
+        match flag.as_str() {
+            "--top" => top = flags.parse(&flag),
+            _ => flags.unknown(&flag),
         }
     }
+    let files = flags.positionals(2);
     let [before_path, after_path] = files.as_slice() else {
-        die("pass exactly two files");
+        flags.die("usage: clp-diff <before.json> <after.json> [--top N]");
     };
-    let (before, after) = (load(before_path), load(after_path));
-    let report = diff_documents(&before, &after).unwrap_or_else(|e| die(&e));
+    let (before, after) = (load_json(PROG, before_path), load_json(PROG, after_path));
+    let report = diff_documents(&before, &after).unwrap_or_else(|e| die(PROG, e));
     println!("{} vs {} ({})", before_path, after_path, report.kind);
     print!("{}", report.render(top));
 }

@@ -19,62 +19,43 @@
 //! block. Exits 1 if any error-severity diagnostic remains, 2 on usage
 //! or input errors.
 
+use clp_core::cli::{die, Flags};
 use clp_core::compile_workload;
 use clp_isa::asm;
-use clp_lint::{lint_program, render_report, LintCode, LintConfig, LintReport};
-use clp_workloads::suite;
+use clp_lint::{lint_program, render_report, LintCode, LintConfig, LintReport, Severity};
+use clp_workloads::{suite, Workload};
+
+const PROG: &str = "clp-lint";
 
 struct Args {
-    names: Vec<String>,
-    all: bool,
+    workloads: Vec<Workload>,
     asm_path: Option<String>,
     json: bool,
     bound: bool,
-    cores: usize,
 }
 
-fn die(msg: &str) -> ! {
-    eprintln!("clp-lint: {msg}");
-    std::process::exit(2);
-}
-
-fn parse_code(s: &str) -> LintCode {
-    LintCode::from_code(s).unwrap_or_else(|| die(&format!("unknown lint code `{s}`")))
-}
-
+/// Parses the flags, applying `--allow`, `--deny` and `--cores` to
+/// `cfg`.
 fn parse_args(cfg: &mut LintConfig) -> Args {
-    let mut args = Args {
-        names: Vec::new(),
-        all: false,
-        asm_path: None,
-        json: false,
-        bound: false,
-        cores: 32,
+    let (mut suite, mut asm_path, mut json, mut bound) = (false, None, false, false);
+    let mut flags = Flags::from_env(PROG);
+    let code = |flags: &mut Flags, flag: &str| {
+        let v = flags.value(flag);
+        LintCode::from_code(&v).unwrap_or_else(|| flags.die(format!("unknown lint code `{v}`")))
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut flag_value = |flag: &str| {
-            it.next()
-                .unwrap_or_else(|| die(&format!("{flag} requires a value")))
-        };
-        match a.as_str() {
-            "--suite" => args.all = true,
-            "--asm" => args.asm_path = Some(flag_value("--asm")),
-            "--json" => args.json = true,
-            "--bound" => args.bound = true,
+    while let Some(flag) = flags.next_flag() {
+        match flag.as_str() {
+            "--suite" => suite = true,
+            "--asm" => asm_path = Some(flags.value(&flag)),
+            "--json" => json = true,
+            "--bound" => bound = true,
             "--allow" => {
-                cfg.allow(parse_code(&flag_value("--allow")));
+                cfg.allow(code(&mut flags, &flag));
             }
             "--deny" => {
-                cfg.set_level(parse_code(&flag_value("--deny")), clp_lint::Severity::Error);
+                cfg.set_level(code(&mut flags, &flag), Severity::Error);
             }
-            "--cores" => {
-                let v = flag_value("--cores");
-                match v.parse() {
-                    Ok(c) => args.cores = c,
-                    Err(_) => die(&format!("bad core count `{v}`")),
-                }
-            }
+            "--cores" => cfg.placement_cores = flags.at_least(&flag, 1),
             "--help" | "-h" => {
                 println!(
                     "usage: clp-lint [--suite | --asm FILE | WORKLOAD...] \
@@ -92,48 +73,42 @@ fn parse_args(cfg: &mut LintConfig) -> Args {
                 }
                 std::process::exit(0);
             }
-            _ if a.starts_with('-') => die(&format!("unknown flag `{a}`")),
-            _ => args.names.push(a),
+            _ => flags.unknown(&flag),
         }
     }
-    args
+    let names = flags.positionals(usize::MAX);
+    let workloads: Vec<Workload> = if suite {
+        suite::all()
+    } else {
+        names.iter().map(|n| flags.workload(n)).collect()
+    };
+    if workloads.is_empty() && asm_path.is_none() {
+        flags.die("nothing to lint: pass workload names, --suite, or --asm FILE");
+    }
+    Args {
+        workloads,
+        asm_path,
+        json,
+        bound,
+    }
 }
 
 fn main() {
     let mut cfg = LintConfig::default();
     let args = parse_args(&mut cfg);
-    cfg.placement_cores = args.cores;
 
     // (label, program) pairs to lint.
     let mut programs = Vec::new();
     if let Some(path) = &args.asm_path {
         let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| die(&format!("cannot read `{path}`: {e}")));
-        let prog = asm::parse_program(&text).unwrap_or_else(|e| die(&format!("{path}: {e}")));
+            .unwrap_or_else(|e| die(PROG, format!("cannot read `{path}`: {e}")));
+        let prog = asm::parse_program(&text).unwrap_or_else(|e| die(PROG, format!("{path}: {e}")));
         programs.push((path.clone(), prog));
     }
-    let names: Vec<String> = if args.all {
-        suite::all()
-            .into_iter()
-            .map(|w| w.name.to_string())
-            .collect()
-    } else {
-        args.names.clone()
-    };
-    for name in &names {
-        let w = suite::by_name(name).unwrap_or_else(|| {
-            let all: Vec<&str> = suite::all().into_iter().map(|w| w.name).collect();
-            die(&format!(
-                "unknown workload `{name}`; available: {}",
-                all.join(", ")
-            ))
-        });
-        let cw = compile_workload(&w)
-            .unwrap_or_else(|e| die(&format!("{name} does not compile: {e:?}")));
-        programs.push((name.clone(), cw.edge));
-    }
-    if programs.is_empty() {
-        die("nothing to lint: pass workload names, --suite, or --asm FILE");
+    for w in &args.workloads {
+        let cw = compile_workload(w)
+            .unwrap_or_else(|e| die(PROG, format!("{} does not compile: {e:?}", w.name)));
+        programs.push((w.name.to_string(), cw.edge));
     }
 
     let mut merged = LintReport::default();

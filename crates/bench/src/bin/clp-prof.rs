@@ -19,100 +19,58 @@
 //! `--cores N` picks the composition size (default 16); `--top-links N`
 //! bounds the link list (default 8).
 
+use clp_bench::cli::print_runs;
+use clp_core::cli::{die, Flags};
 use clp_core::{compile_workload, run_compiled_observed, ObsOptions, ProcessorConfig};
-use clp_workloads::suite;
+use clp_workloads::Workload;
 use serde::Value;
 
+const PROG: &str = "clp-prof";
+
 struct Args {
-    workloads: Vec<String>,
+    workloads: Vec<Workload>,
     cores: usize,
     json: bool,
     top_links: usize,
 }
 
-fn die(msg: &str) -> ! {
-    eprintln!("clp-prof: {msg}");
-    std::process::exit(2);
-}
-
 fn parse_args() -> Args {
-    let mut args = Args {
-        workloads: Vec::new(),
-        cores: 16,
-        json: false,
-        top_links: 8,
-    };
-    let mut want_suite = false;
-    let mut positional = 0;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut flag_value = |flag: &str| {
-            it.next()
-                .unwrap_or_else(|| die(&format!("{flag} requires a value")))
-        };
-        match a.as_str() {
-            "--suite" => want_suite = true,
-            "--json" => args.json = true,
-            "--cores" => {
-                let v = flag_value("--cores");
-                match v.parse() {
-                    Ok(c) if c > 0 => args.cores = c,
-                    _ => die(&format!("bad --cores `{v}`")),
-                }
-            }
-            "--top-links" => {
-                let v = flag_value("--top-links");
-                match v.parse() {
-                    Ok(c) => args.top_links = c,
-                    Err(_) => die(&format!("bad --top-links `{v}`")),
-                }
-            }
-            _ => {
-                match positional {
-                    0 => args.workloads.push(a),
-                    1 => match a.parse() {
-                        Ok(c) => args.cores = c,
-                        Err(_) => die(&format!("bad core count `{a}`")),
-                    },
-                    _ => die(&format!("unexpected argument `{a}`")),
-                }
-                positional += 1;
-            }
+    let (mut suite, mut json, mut cores, mut top_links) = (false, false, 16, 8);
+    let mut flags = Flags::from_env(PROG);
+    while let Some(flag) = flags.next_flag() {
+        match flag.as_str() {
+            "--suite" => suite = true,
+            "--json" => json = true,
+            "--cores" => cores = flags.at_least(&flag, 1),
+            "--top-links" => top_links = flags.parse(&flag),
+            _ => flags.unknown(&flag),
         }
     }
-    if want_suite {
-        args.workloads = suite::all()
-            .into_iter()
-            .map(|w| w.name.to_string())
-            .collect();
-    } else if args.workloads.is_empty() {
-        die("pass a workload name or --suite");
+    let (workloads, one) = flags.suite_or_one(suite);
+    Args {
+        workloads,
+        cores: one.unwrap_or(cores),
+        json,
+        top_links,
     }
-    args
 }
 
 fn main() {
     let args = parse_args();
     let mut runs: Vec<Value> = Vec::new();
-    for name in &args.workloads {
-        let w = suite::by_name(name).unwrap_or_else(|| {
-            let names: Vec<&str> = suite::all().into_iter().map(|w| w.name).collect();
-            die(&format!(
-                "unknown workload `{name}`; available: {}",
-                names.join(", ")
-            ))
-        });
-        let cw = compile_workload(&w).unwrap_or_else(|e| die(&format!("{name}: {e}")));
+    for w in &args.workloads {
+        let name = w.name;
+        let cw = compile_workload(w).unwrap_or_else(|e| die(PROG, format!("{name}: {e}")));
         let obs = ObsOptions {
             profile: true,
             ..ObsOptions::default()
         };
         let r = run_compiled_observed(&cw, &ProcessorConfig::tflex(args.cores), &obs)
-            .unwrap_or_else(|e| die(&format!("{name} on {} cores: {e}", args.cores)));
+            .unwrap_or_else(|e| die(PROG, format!("{name} on {} cores: {e}", args.cores)));
         let report = r.profile.expect("profiling was enabled");
         if args.json {
             runs.push(Value::Object(vec![
-                ("workload".to_string(), Value::String(name.clone())),
+                ("workload".to_string(), Value::String(name.to_string())),
                 ("cores".to_string(), Value::UInt(args.cores as u64)),
                 ("cycles".to_string(), Value::UInt(r.stats.cycles)),
                 ("ipc".to_string(), Value::Float(r.stats.procs[0].ipc())),
@@ -134,16 +92,6 @@ fn main() {
         }
     }
     if args.json {
-        let doc = Value::Object(vec![
-            (
-                "schema".to_string(),
-                Value::String("clp-prof-v1".to_string()),
-            ),
-            ("runs".to_string(), Value::Array(runs)),
-        ]);
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&doc).expect("serializes")
-        );
+        print_runs("clp-prof-v1", runs);
     }
 }

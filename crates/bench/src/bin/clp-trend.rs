@@ -20,13 +20,18 @@
 //! tune the change-point detector; `--perfetto <path>` additionally
 //! writes the series as Chrome counter tracks.
 
+use clp_bench::cli::print_runs;
+use clp_core::cli::{die, Flags};
 use clp_core::{compile_workload, run_compiled_observed, ObsOptions, ProcessorConfig};
 use clp_obs::TrendOptions;
-use clp_workloads::suite;
+use clp_workloads::Workload;
 use serde::Value;
 
+const PROG: &str = "clp-trend";
+
+#[derive(Default)]
 struct Args {
-    workloads: Vec<String>,
+    workloads: Vec<Workload>,
     cores: usize,
     json: bool,
     period: u64,
@@ -36,88 +41,36 @@ struct Args {
     perfetto: Option<String>,
 }
 
-fn die(msg: &str) -> ! {
-    eprintln!("clp-trend: {msg}");
-    std::process::exit(2);
-}
-
 fn parse_args() -> Args {
+    let mut suite = false;
     let mut args = Args {
-        workloads: Vec::new(),
         cores: 16,
-        json: false,
         period: 1000,
-        paths: Vec::new(),
         phase_window: 4,
         threshold: 150,
-        perfetto: None,
+        ..Args::default()
     };
-    let mut want_suite = false;
-    let mut positional = 0;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut flag_value = |flag: &str| {
-            it.next()
-                .unwrap_or_else(|| die(&format!("{flag} requires a value")))
-        };
-        match a.as_str() {
-            "--suite" => want_suite = true,
+    let mut flags = Flags::from_env(PROG);
+    while let Some(flag) = flags.next_flag() {
+        match flag.as_str() {
+            "--suite" => suite = true,
             "--json" => args.json = true,
-            "--cores" => {
-                let v = flag_value("--cores");
-                match v.parse() {
-                    Ok(c) if c > 0 => args.cores = c,
-                    _ => die(&format!("bad --cores `{v}`")),
-                }
-            }
-            "--period" => {
-                let v = flag_value("--period");
-                match v.parse() {
-                    Ok(p) if p > 0 => args.period = p,
-                    _ => die(&format!("--period wants cycles >= 1, got `{v}`")),
-                }
-            }
+            "--cores" => args.cores = flags.at_least(&flag, 1),
+            "--period" => args.period = flags.at_least(&flag, 1),
             "--paths" => {
-                let v = flag_value("--paths");
+                let v = flags.value(&flag);
                 args.paths
                     .extend(v.split(',').filter(|s| !s.is_empty()).map(String::from));
             }
-            "--phase-window" => {
-                let v = flag_value("--phase-window");
-                match v.parse() {
-                    Ok(w) if w > 0 => args.phase_window = w,
-                    _ => die(&format!("bad --phase-window `{v}`")),
-                }
-            }
-            "--threshold" => {
-                let v = flag_value("--threshold");
-                match v.parse() {
-                    Ok(t) => args.threshold = t,
-                    Err(_) => die(&format!("bad --threshold `{v}`")),
-                }
-            }
-            "--perfetto" => args.perfetto = Some(flag_value("--perfetto")),
-            _ => {
-                match positional {
-                    0 => args.workloads.push(a),
-                    1 => match a.parse() {
-                        Ok(c) => args.cores = c,
-                        Err(_) => die(&format!("bad core count `{a}`")),
-                    },
-                    _ => die(&format!("unexpected argument `{a}`")),
-                }
-                positional += 1;
-            }
+            "--phase-window" => args.phase_window = flags.at_least(&flag, 1),
+            "--threshold" => args.threshold = flags.parse(&flag),
+            "--perfetto" => args.perfetto = Some(flags.value(&flag)),
+            _ => flags.unknown(&flag),
         }
     }
-    if want_suite {
-        args.workloads = suite::all()
-            .into_iter()
-            .map(|w| w.name.to_string())
-            .collect();
-    } else if args.workloads.is_empty() {
-        die("pass a workload name or --suite");
-    }
+    let (workloads, cores) = flags.suite_or_one(suite);
+    args.workloads = workloads;
+    args.cores = cores.unwrap_or(args.cores);
     args
 }
 
@@ -135,26 +88,20 @@ fn main() {
         ..ObsOptions::default()
     };
     let mut runs: Vec<Value> = Vec::new();
-    for name in &args.workloads {
-        let w = suite::by_name(name).unwrap_or_else(|| {
-            let names: Vec<&str> = suite::all().into_iter().map(|w| w.name).collect();
-            die(&format!(
-                "unknown workload `{name}`; available: {}",
-                names.join(", ")
-            ))
-        });
-        let cw = compile_workload(&w).unwrap_or_else(|e| die(&format!("{name}: {e}")));
+    for w in &args.workloads {
+        let name = w.name;
+        let cw = compile_workload(w).unwrap_or_else(|e| die(PROG, format!("{name}: {e}")));
         let r = run_compiled_observed(&cw, &ProcessorConfig::tflex(args.cores), &obs)
-            .unwrap_or_else(|e| die(&format!("{name} on {} cores: {e}", args.cores)));
+            .unwrap_or_else(|e| die(PROG, format!("{name} on {} cores: {e}", args.cores)));
         let trend = r.trend.expect("trend recording was enabled");
         if let Some(path) = &args.perfetto {
             std::fs::write(path, trend.to_chrome_trace())
-                .unwrap_or_else(|e| die(&format!("cannot write `{path}`: {e}")));
+                .unwrap_or_else(|e| die(PROG, format!("cannot write `{path}`: {e}")));
             println!("[perfetto counters -> {path}]");
         }
         if args.json {
             runs.push(Value::Object(vec![
-                ("workload".to_string(), Value::String(name.clone())),
+                ("workload".to_string(), Value::String(name.to_string())),
                 ("cores".to_string(), Value::UInt(args.cores as u64)),
                 ("trend".to_string(), trend.to_json_value()),
             ]));
@@ -169,16 +116,6 @@ fn main() {
         }
     }
     if args.json {
-        let doc = Value::Object(vec![
-            (
-                "schema".to_string(),
-                Value::String("clp-trend-suite-v1".to_string()),
-            ),
-            ("runs".to_string(), Value::Array(runs)),
-        ]);
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&doc).expect("serializes")
-        );
+        print_runs("clp-trend-suite-v1", runs);
     }
 }

@@ -15,7 +15,7 @@
 use clp_alloc::{
     fixed_cmp, granularity_fractions, optimal_clp, variable_best_cmp, Allocation, SpeedupCurve,
 };
-use clp_bench::cli::{exit_on_write_error, FigObs};
+use clp_bench::cli::FigObs;
 use clp_bench::{save_json, sweep_suite_resilient_observed, CellFailure, SWEEP_SIZES};
 use clp_workloads::suite;
 use serde::Serialize;
@@ -164,6 +164,5 @@ fn main() {
             failures,
         },
     );
-    fig.save_sweep_snapshots(&rows)
-        .unwrap_or_else(|e| exit_on_write_error("fig10", &e));
+    fig.save_sweep_snapshots(&rows);
 }

@@ -7,7 +7,7 @@
 //! >> compiled-INT, with compiled-INT at or below parity.
 
 use clp_baseline::{run_baseline, BaselineConfig};
-use clp_bench::cli::{exit_on_write_error, FigObs};
+use clp_bench::cli::FigObs;
 use clp_bench::{geomean, save_json};
 use clp_core::{compile_workload, run_compiled_observed, ProcessorConfig};
 use clp_workloads::{suite, WorkloadClass};
@@ -79,6 +79,5 @@ fn main() {
     );
 
     save_json("fig5.json", &rows);
-    fig.save_snapshots(snapshots)
-        .unwrap_or_else(|e| exit_on_write_error("fig5", &e));
+    fig.save_snapshots(snapshots);
 }

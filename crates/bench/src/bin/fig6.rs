@@ -5,7 +5,7 @@
 //! ~13% more (~4x); 8-core TFlex beats TRIPS by ~19%; BEST beats TRIPS
 //! by ~42%.
 
-use clp_bench::cli::{exit_on_write_error, FigObs};
+use clp_bench::cli::FigObs;
 use clp_bench::{
     geomean, order_by_ilp, save_json, sweep_suite_resilient_observed, CellFailure, SWEEP_SIZES,
 };
@@ -102,6 +102,5 @@ fn main() {
             failures,
         },
     );
-    fig.save_sweep_snapshots(&rows)
-        .unwrap_or_else(|e| exit_on_write_error("fig6", &e));
+    fig.save_sweep_snapshots(&rows);
 }

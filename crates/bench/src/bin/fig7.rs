@@ -4,7 +4,7 @@
 //! Paper shape: area efficiency peaks at one or two cores for most
 //! benchmarks; beyond two cores performance grows more slowly than area.
 
-use clp_bench::cli::{exit_on_write_error, FigObs};
+use clp_bench::cli::FigObs;
 use clp_bench::{
     geomean, order_by_ilp, save_json, sweep_suite_resilient_observed, CellFailure, SWEEP_SIZES,
 };
@@ -107,6 +107,5 @@ fn main() {
             failures,
         },
     );
-    fig.save_sweep_snapshots(&rows)
-        .unwrap_or_else(|e| exit_on_write_error("fig7", &e));
+    fig.save_sweep_snapshots(&rows);
 }

@@ -5,7 +5,7 @@
 //! picking per-application BEST adds ~22%; fixed 8-core TFlex is ~1.64x
 //! more power-efficient than TRIPS.
 
-use clp_bench::cli::{exit_on_write_error, FigObs};
+use clp_bench::cli::FigObs;
 use clp_bench::{
     geomean, order_by_ilp, save_json, sweep_suite_resilient_observed, CellFailure, SWEEP_SIZES,
 };
@@ -115,6 +115,5 @@ fn main() {
             failures,
         },
     );
-    fig.save_sweep_snapshots(&rows)
-        .unwrap_or_else(|e| exit_on_write_error("fig8", &e));
+    fig.save_sweep_snapshots(&rows);
 }

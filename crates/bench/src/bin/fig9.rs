@@ -7,7 +7,7 @@
 //! bandwidth scales. For commit, handshaking grows with distance while
 //! the architectural-state update shrinks with added bandwidth.
 
-use clp_bench::cli::{exit_on_write_error, FigObs};
+use clp_bench::cli::FigObs;
 use clp_bench::{save_json, sweep_suite_resilient_observed, CellFailure, SWEEP_SIZES};
 use clp_sim::{CommitLatencyBreakdown, FetchLatencyBreakdown};
 use clp_workloads::suite;
@@ -93,6 +93,5 @@ fn main() {
     }
 
     save_json("fig9.json", &Out { series, failures });
-    fig.save_sweep_snapshots(&rows)
-        .unwrap_or_else(|e| exit_on_write_error("fig9", &e));
+    fig.save_sweep_snapshots(&rows);
 }

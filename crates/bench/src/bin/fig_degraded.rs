@@ -16,7 +16,7 @@
 //! the kill schedule derives from the clean run's cycle count, not from
 //! any wall clock.
 
-use clp_bench::cli::{exit_on_write_error, FigObs};
+use clp_bench::cli::FigObs;
 use clp_bench::{geomean, save_json};
 use clp_core::{compile_workload, run_compiled_observed, ProcessorConfig};
 use clp_sim::FaultPlan;
@@ -146,6 +146,5 @@ fn main() {
     }
 
     save_json("fig_degraded.json", &rows);
-    fig.save_snapshots(snapshots)
-        .unwrap_or_else(|e| exit_on_write_error("fig_degraded", &e));
+    fig.save_snapshots(snapshots);
 }

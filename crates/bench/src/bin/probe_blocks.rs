@@ -1,12 +1,16 @@
 //! Bring-up probe: prints the compiled block structure of a workload.
 use clp_compiler::{compile, CompileOptions};
-use clp_workloads::suite;
+use clp_core::cli::Flags;
 
 fn main() {
-    let name = std::env::args().nth(1).unwrap_or_else(|| "conv".into());
-    let w = suite::by_name(&name).expect("workload");
+    let mut flags = Flags::from_env("probe_blocks");
+    if let Some(flag) = flags.next_flag() {
+        flags.unknown(&flag);
+    }
+    let pos = flags.positionals(1);
+    let w = flags.workload(pos.first().map_or("conv", String::as_str));
     let edge = compile(&w.program, &CompileOptions::default()).expect("compiles");
-    println!("{name}: {} blocks", edge.len());
+    println!("{}: {} blocks", w.name, edge.len());
     for (addr, b) in edge.iter() {
         let exits: Vec<String> = b
             .exits()

@@ -58,15 +58,17 @@
 //! limit, invalid kill schedule — i.e. recovery failure), 4 = killed by
 //! the `--max-cycles` deadline.
 
+use clp_core::cli::{die, Flags};
 use clp_core::compile_workload;
 use clp_isa::Reg;
 use clp_obs::{ChromeTraceWriter, Tracer, TrendOptions};
 use clp_sim::{CoreKill, FaultPlan, Machine, RunError, SimConfig, ALL_FAULT_KINDS};
-use clp_workloads::suite;
+use clp_workloads::Workload;
 
+const PROG: &str = "run_one";
+
+#[derive(Default)]
 struct Args {
-    name: String,
-    cores: usize,
     trace: Option<String>,
     stats_json: Option<String>,
     sample_every: Option<u64>,
@@ -81,45 +83,19 @@ struct Args {
     phase_table: bool,
 }
 
-fn die(msg: &str) -> ! {
-    eprintln!("run_one: {msg}");
-    std::process::exit(2);
-}
-
-fn parse_args() -> Args {
+/// The workload (default gzip), the composition size (default 32) and
+/// the flags.
+fn parse_args() -> (Workload, usize, Args) {
     let mut args = Args {
-        name: "gzip".to_string(),
-        cores: 32,
-        trace: None,
-        stats_json: None,
-        sample_every: None,
-        faults: None,
         fault_seed: 1,
-        kills: Vec::new(),
-        max_cycles: None,
-        lint: false,
-        bound: false,
-        profile: false,
-        trend: false,
-        phase_table: false,
+        ..Args::default()
     };
-    let mut positional = 0;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut flag_value = |flag: &str| {
-            it.next()
-                .unwrap_or_else(|| die(&format!("{flag} requires a value")))
-        };
-        match a.as_str() {
-            "--trace" => args.trace = Some(flag_value("--trace")),
-            "--stats-json" => args.stats_json = Some(flag_value("--stats-json")),
-            "--sample-every" => {
-                let v = flag_value("--sample-every");
-                match v.parse() {
-                    Ok(p) if p > 0 => args.sample_every = Some(p),
-                    _ => die(&format!("--sample-every wants a period >= 1, got `{v}`")),
-                }
-            }
+    let mut flags = Flags::from_env(PROG);
+    while let Some(flag) = flags.next_flag() {
+        match flag.as_str() {
+            "--trace" => args.trace = Some(flags.value(&flag)),
+            "--stats-json" => args.stats_json = Some(flags.value(&flag)),
+            "--sample-every" => args.sample_every = Some(flags.at_least(&flag, 1)),
             "--lint" => args.lint = true,
             "--bound" => args.bound = true,
             "--profile" => args.profile = true,
@@ -128,57 +104,32 @@ fn parse_args() -> Args {
                 args.phase_table = true;
                 args.trend = true;
             }
-            "--faults" => args.faults = Some(flag_value("--faults")),
+            "--faults" => args.faults = Some(flags.value(&flag)),
             "--kill-core" => {
-                let v = flag_value("--kill-core");
-                match CoreKill::parse(&v) {
-                    Ok(k) => args.kills.push(k),
-                    Err(e) => die(&format!("bad --kill-core: {e}")),
-                }
+                let v = flags.value(&flag);
+                let kill = CoreKill::parse(&v)
+                    .unwrap_or_else(|e| flags.die(format!("bad --kill-core: {e}")));
+                args.kills.push(kill);
             }
-            "--max-cycles" => {
-                let v = flag_value("--max-cycles");
-                match v.parse() {
-                    Ok(n) if n > 0 => args.max_cycles = Some(n),
-                    _ => die(&format!("--max-cycles wants a budget >= 1, got `{v}`")),
-                }
-            }
-            "--fault-seed" => {
-                let v = flag_value("--fault-seed");
-                match v.parse() {
-                    Ok(s) => args.fault_seed = s,
-                    Err(_) => die(&format!("bad --fault-seed `{v}`")),
-                }
-            }
-            _ => {
-                match positional {
-                    0 => args.name = a,
-                    1 => match a.parse() {
-                        Ok(c) => args.cores = c,
-                        Err(_) => die(&format!("bad core count `{a}`")),
-                    },
-                    _ => die(&format!("unexpected argument `{a}`")),
-                }
-                positional += 1;
-            }
+            "--max-cycles" => args.max_cycles = Some(flags.at_least(&flag, 1)),
+            "--fault-seed" => args.fault_seed = flags.parse(&flag),
+            _ => flags.unknown(&flag),
         }
     }
-    args
+    let pos = flags.positionals(2);
+    let w = flags.workload(pos.first().map_or("gzip", String::as_str));
+    let cores = pos
+        .get(1)
+        .map_or(32, |c| flags.parse_at_least("core count", c, 1));
+    (w, cores, args)
 }
 
 fn main() {
     // Nonzero exit on a failed or incorrect run, so CI smoke jobs can
     // gate on run_one directly.
     let mut exit_code = 0;
-    let args = parse_args();
-    let (name, n) = (args.name.as_str(), args.cores);
-    let w = suite::by_name(name).unwrap_or_else(|| {
-        let names: Vec<&str> = suite::all().into_iter().map(|w| w.name).collect();
-        die(&format!(
-            "unknown workload `{name}`; available: {}",
-            names.join(", ")
-        ))
-    });
+    let (w, n, args) = parse_args();
+    let name = w.name;
     let cw = compile_workload(&w).expect("compiles");
     if args.lint {
         let cfg = clp_lint::LintConfig {
@@ -192,13 +143,13 @@ fn main() {
             print!("{}", clp_lint::render_report(&report, Some(&cw.edge)));
         }
         if report.has_errors() {
-            die("lint found error-severity diagnostics");
+            die(PROG, "lint found error-severity diagnostics");
         }
     }
     // Fail on an unwritable output path now, not after a long run.
     for path in args.trace.iter().chain(&args.stats_json) {
         if let Err(e) = std::fs::write(path, "") {
-            die(&format!("cannot write `{path}`: {e}"));
+            die(PROG, format!("cannot write `{path}`: {e}"));
         }
     }
     let mut cfg = SimConfig::tflex();
@@ -206,12 +157,12 @@ fn main() {
     cfg.deadline = args.max_cycles;
     if let Some(spec) = &args.faults {
         cfg.faults = FaultPlan::parse(spec, args.fault_seed)
-            .unwrap_or_else(|e| die(&format!("bad --faults spec: {e}")));
+            .unwrap_or_else(|e| die(PROG, format!("bad --faults spec: {e}")));
     }
     for k in &args.kills {
         cfg.faults
             .add_kill(usize::from(k.core), k.cycle)
-            .unwrap_or_else(|e| die(&format!("bad --kill-core schedule: {e}")));
+            .unwrap_or_else(|e| die(PROG, format!("bad --kill-core schedule: {e}")));
     }
     let mut m = Machine::new(cfg);
     if let Some(path) = &args.trace {
@@ -237,7 +188,7 @@ fn main() {
     }
     let pid = m
         .compose(n, 0, cw.edge.clone(), &w.args)
-        .unwrap_or_else(|e| die(&format!("cannot compose {n} cores: {e:?}")));
+        .unwrap_or_else(|e| die(PROG, format!("cannot compose {n} cores: {e:?}")));
     match m.run() {
         Ok(stats) => {
             let ret = m.register(pid, Reg::new(1));
@@ -334,7 +285,7 @@ fn main() {
             let snapshot = m.snapshot();
             if let Some(path) = &args.stats_json {
                 if let Err(e) = std::fs::write(path, snapshot.to_json()) {
-                    die(&format!("cannot write `{path}`: {e}"));
+                    die(PROG, format!("cannot write `{path}`: {e}"));
                 }
                 println!(
                     "[stats -> {path}: {} intervals, ipc {:.2}]",
@@ -360,7 +311,7 @@ fn main() {
     }
     if let Some(path) = &args.trace {
         if let Err(e) = m.tracer().finish() {
-            die(&format!("cannot write `{path}`: {e}"));
+            die(PROG, format!("cannot write `{path}`: {e}"));
         }
         println!("[trace -> {path}]");
     }

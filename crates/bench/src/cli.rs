@@ -1,4 +1,4 @@
-//! Shared observability flags for the figure binaries.
+//! Shared command-line pieces of the bench binaries.
 //!
 //! Every `fig*` binary accepts the same two flags, parsed here so the
 //! wiring cannot drift between binaries:
@@ -12,10 +12,10 @@
 //! defaults to one window per 1000 cycles (matching `run_one`), so the
 //! dumped snapshots always carry a time series.
 
+use clp_core::cli::{die, Flags};
 use clp_core::ObsOptions;
 use clp_obs::StatsSnapshot;
-use serde::Serialize;
-use std::io;
+use serde::{Serialize, Value};
 use std::path::PathBuf;
 
 use crate::BenchRow;
@@ -27,24 +27,35 @@ pub struct FigObs {
     pub sample_every: Option<u64>,
     /// Where to write labeled stats snapshots (`--stats-json`).
     pub stats_json: Option<PathBuf>,
+    /// The binary's name, prefixing the write-error message.
+    prog: String,
 }
 
-fn die(prog: &str, msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    eprintln!("usage: {prog} [--sample-every <cycles>] [--stats-json <path>]");
-    std::process::exit(2);
+/// Reads and parses the JSON document at `path`; a missing or malformed
+/// file is a usage error of `prog` (exit 2).
+#[must_use]
+pub fn load_json(prog: &str, path: &str) -> Value {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| die(prog, format!("cannot read `{path}`: {e}")));
+    serde_json::from_str(&text).unwrap_or_else(|e| die(prog, format!("cannot parse `{path}`: {e}")))
 }
 
-/// Prints `prog: err` and exits with status 2: how the figure binaries
-/// report an unwritable `--stats-json` path.
-pub fn exit_on_write_error(prog: &str, err: &io::Error) -> ! {
-    eprintln!("{prog}: {err}");
-    std::process::exit(2);
+/// Prints the `{schema, runs}` document of a per-run report binary
+/// (clp-prof, clp-trend) as pretty JSON on stdout.
+pub fn print_runs(schema: &str, runs: Vec<Value>) {
+    let doc = Value::Object(vec![
+        ("schema".to_string(), Value::String(schema.to_string())),
+        ("runs".to_string(), Value::Array(runs)),
+    ]);
+    println!(
+        "{}",
+        serde_json::to_string_pretty(&doc).expect("serializes")
+    );
 }
 
 impl FigObs {
     /// Parses the shared flags from the process arguments; `prog` names
-    /// the binary in the usage message. Exits with status 2 on unknown
+    /// the binary in error messages. Exits with status 2 on unknown
     /// arguments or malformed values.
     #[must_use]
     pub fn parse_env(prog: &str) -> FigObs {
@@ -52,31 +63,20 @@ impl FigObs {
     }
 
     /// Parses the shared flags from an explicit argument iterator.
-    pub fn parse(prog: &str, mut args: impl Iterator<Item = String>) -> FigObs {
-        let mut out = FigObs::default();
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--sample-every" => {
-                    let v = args
-                        .next()
-                        .unwrap_or_else(|| die(prog, "--sample-every wants a value"));
-                    match v.parse::<u64>() {
-                        Ok(p) if p >= 1 => out.sample_every = Some(p),
-                        _ => die(
-                            prog,
-                            &format!("--sample-every wants a period >= 1, got `{v}`"),
-                        ),
-                    }
-                }
-                "--stats-json" => {
-                    let v = args
-                        .next()
-                        .unwrap_or_else(|| die(prog, "--stats-json wants a path"));
-                    out.stats_json = Some(PathBuf::from(v));
-                }
-                other => die(prog, &format!("unknown argument `{other}`")),
+    pub fn parse(prog: &str, args: impl Iterator<Item = String>) -> FigObs {
+        let mut out = FigObs {
+            prog: prog.to_string(),
+            ..FigObs::default()
+        };
+        let mut flags = Flags::new(prog, args);
+        while let Some(flag) = flags.next_flag() {
+            match flag.as_str() {
+                "--sample-every" => out.sample_every = Some(flags.at_least(&flag, 1)),
+                "--stats-json" => out.stats_json = Some(PathBuf::from(flags.value(&flag))),
+                _ => flags.unknown(&flag),
             }
         }
+        flags.positionals(0);
         out
     }
 
@@ -95,16 +95,11 @@ impl FigObs {
     }
 
     /// Writes `labeled` snapshots to the `--stats-json` path as a JSON
-    /// array of `{label, snapshot}` objects. No-op when the flag was not
-    /// given.
-    ///
-    /// # Errors
-    ///
-    /// Returns the write error, naming the path, when the file cannot be
-    /// written.
-    pub fn save_snapshots(&self, labeled: Vec<(String, StatsSnapshot)>) -> io::Result<()> {
+    /// array of `{label, snapshot}` objects, exiting with status 2 when
+    /// the file cannot be written. No-op when the flag was not given.
+    pub fn save_snapshots(&self, labeled: Vec<(String, StatsSnapshot)>) {
         let Some(path) = &self.stats_json else {
-            return Ok(());
+            return;
         };
         #[derive(Serialize)]
         struct Labeled {
@@ -116,23 +111,21 @@ impl FigObs {
             .map(|(label, snapshot)| Labeled { label, snapshot })
             .collect();
         let json = serde_json::to_string_pretty(&entries).expect("serializable");
-        std::fs::write(path, json).map_err(|e| {
-            io::Error::new(e.kind(), format!("cannot write `{}`: {e}", path.display()))
-        })?;
+        std::fs::write(path, json).unwrap_or_else(|e| {
+            die(
+                &self.prog,
+                format!("cannot write `{}`: {e}", path.display()),
+            )
+        });
         println!("[saved {}]", path.display());
-        Ok(())
     }
 
     /// Labels and writes every cell snapshot of a completed sweep
     /// (`<workload>/tflex-<n>` and `<workload>/trips`). No-op when
     /// `--stats-json` was not given.
-    ///
-    /// # Errors
-    ///
-    /// As [`FigObs::save_snapshots`].
-    pub fn save_sweep_snapshots(&self, rows: &[BenchRow]) -> io::Result<()> {
+    pub fn save_sweep_snapshots(&self, rows: &[BenchRow]) {
         if self.stats_json.is_none() {
-            return Ok(());
+            return;
         }
         let mut labeled = Vec::new();
         for r in rows {

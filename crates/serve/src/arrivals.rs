@@ -55,6 +55,27 @@ impl Default for ArrivalConfig {
     }
 }
 
+impl ArrivalConfig {
+    /// The pinned `clp-serve --bench` schedule: fixed seed, tight-budget
+    /// jobs, two planted panics and a no-survivor core kill, so the
+    /// committed `BENCH_serve.json` and `SCOPE_serve.json` exercise every
+    /// fault domain and reproduce byte-for-byte. Pairs with
+    /// [`ServiceConfig::bench`](crate::ServiceConfig::bench).
+    #[must_use]
+    pub fn bench() -> Self {
+        ArrivalConfig {
+            jobs: 48,
+            seed: 42,
+            mean_gap: 3_000,
+            budget: 200_000,
+            tight_every: 7,
+            tight_budget: 2_500,
+            plant_panic: vec![5, 23],
+            kill_at: vec![(11, 800)],
+        }
+    }
+}
+
 /// Generates the arrival schedule: strictly increasing ticks, job ids
 /// `0..jobs` in arrival order.
 #[must_use]

@@ -11,43 +11,45 @@
 //!
 //! # CI gate: rerun the pinned configuration and compare.
 //! cargo run --release -p clp-serve -- --bench --check BENCH_serve.json
+//!
+//! # Regenerate the committed scope golden.
+//! cargo run --release -p clp-serve -- --bench --scope-json SCOPE_serve.json
 //! ```
 //!
-//! `--bench` pins the full configuration (seed 42, 48 jobs, 4 workers,
-//! tight-budget jobs, a planted panic, and a no-survivor core kill) so
-//! the resulting `clp-serve-v1` document is byte-reproducible; `--check
-//! <path>` reruns it and compares against the committed baseline with a
-//! latency/throughput threshold (default 10%), exiting 1 on regression.
+//! `--bench` pins the full configuration ([`ArrivalConfig::bench`] and
+//! [`ServiceConfig::bench`]: seed 42, 48 jobs, 4 workers, tight-budget
+//! jobs, planted panics, and a no-survivor core kill) so the resulting
+//! `clp-serve-v1` document is byte-reproducible; it refuses the
+//! scheduling flags it would overwrite. `--check <path>` reruns it and
+//! compares against the committed baseline with a latency/throughput
+//! threshold (default 10%), exiting 1 on regression.
 //!
 //! `--scope` turns on the clp-scope recorder and prints the fleet
-//! breakdown after the run; `--scope-json <path>` writes the full
-//! `clp-scope-v1` document and `--perfetto <path>` a Chrome trace-event
-//! file of the span trees and worker tracks. Scope is observational:
-//! with it off the run takes the identical code path, and with it on
-//! the `clp-serve-v1` report bytes do not change.
+//! breakdown, the service time series and its phase table after the
+//! run; `--scope-period N` sets the series interval in ticks (default
+//! 5000); `--scope-json <path>` writes the full `clp-scope-v1` document
+//! and `--perfetto <path>` a Chrome trace-event file of the span trees
+//! and worker tracks. Scope is observational: with it off the run takes
+//! the identical code path, and with it on the `clp-serve-v1` report
+//! bytes do not change.
 //!
 //! Exit codes: 0 = drained with no check regression, 1 = `--check`
 //! found a regression, 2 = usage error.
 
+use clp_core::cli::{die, Flags};
 use clp_obs::ScopeOptions;
-use clp_serve::{arrivals, report, service, ServiceReport};
+use clp_serve::{arrivals, report, service, ArrivalConfig, ServiceConfig, ServiceReport};
+use serde::Value;
 
+const PROG: &str = "clp-serve";
+
+#[derive(Default)]
 struct Args {
-    jobs: usize,
-    seed: u64,
-    workers: usize,
-    queue_cap: usize,
-    degrade_at: usize,
-    mean_gap: u64,
-    budget: u64,
-    tight_every: usize,
-    tight_budget: u64,
-    retries: u32,
-    plant_panic: Vec<u64>,
-    kill_core: Vec<(u64, u64)>,
+    acfg: ArrivalConfig,
+    scfg: ServiceConfig,
     json: Option<String>,
-    bench: bool,
-    check: Option<String>,
+    /// `--check`: the baseline's path and document, loaded before the run.
+    check: Option<(String, Value)>,
     threshold: f64,
     scope: bool,
     scope_period: u64,
@@ -55,143 +57,100 @@ struct Args {
     perfetto: Option<String>,
 }
 
-fn die(msg: &str) -> ! {
-    eprintln!("clp-serve: {msg}");
-    std::process::exit(2);
-}
-
 fn parse_args() -> Args {
     let mut args = Args {
-        jobs: 24,
-        seed: 7,
-        workers: 4,
-        queue_cap: 8,
-        degrade_at: 6,
-        mean_gap: 3_000,
-        budget: 200_000,
-        tight_every: 0,
-        tight_budget: 2_500,
-        retries: 3,
-        plant_panic: Vec::new(),
-        kill_core: Vec::new(),
-        json: None,
-        bench: false,
-        check: None,
+        acfg: ArrivalConfig {
+            jobs: 24,
+            seed: 7,
+            ..ArrivalConfig::default()
+        },
+        scfg: ServiceConfig {
+            seed: 7,
+            ..ServiceConfig::default()
+        },
         threshold: 10.0,
-        scope: false,
         scope_period: 5_000,
-        scope_json: None,
-        perfetto: None,
+        ..Args::default()
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut flag_value = |flag: &str| {
-            it.next()
-                .unwrap_or_else(|| die(&format!("{flag} requires a value")))
-        };
-        macro_rules! parse_into {
-            ($field:expr, $flag:expr) => {{
-                let v = flag_value($flag);
-                match v.parse() {
-                    Ok(x) => $field = x,
-                    Err(_) => die(&format!("bad {} value `{v}`", $flag)),
-                }
-            }};
-        }
-        match a.as_str() {
-            "--jobs" => parse_into!(args.jobs, "--jobs"),
-            "--seed" => parse_into!(args.seed, "--seed"),
-            "--workers" => parse_into!(args.workers, "--workers"),
-            "--queue-cap" => parse_into!(args.queue_cap, "--queue-cap"),
-            "--degrade-at" => parse_into!(args.degrade_at, "--degrade-at"),
-            "--mean-gap" => parse_into!(args.mean_gap, "--mean-gap"),
-            "--budget" => parse_into!(args.budget, "--budget"),
-            "--tight-every" => parse_into!(args.tight_every, "--tight-every"),
-            "--tight-budget" => parse_into!(args.tight_budget, "--tight-budget"),
-            "--retries" => parse_into!(args.retries, "--retries"),
-            "--threshold" => parse_into!(args.threshold, "--threshold"),
-            "--plant-panic" => {
-                let v = flag_value("--plant-panic");
-                match v.parse() {
-                    Ok(id) => args.plant_panic.push(id),
-                    Err(_) => die(&format!("bad --plant-panic job id `{v}`")),
-                }
-            }
-            "--kill-core" => {
-                // JOB@CYCLE: job JOB's first attempt kills its (only)
-                // core at CYCLE — a guaranteed recovery failure.
-                let v = flag_value("--kill-core");
-                let parsed = v
-                    .split_once('@')
-                    .and_then(|(j, c)| Some((j.trim().parse().ok()?, c.trim().parse().ok()?)));
-                match parsed {
-                    Some(jc) => args.kill_core.push(jc),
-                    None => die(&format!("bad --kill-core `{v}` (expected JOB@CYCLE)")),
-                }
-            }
-            "--json" => args.json = Some(flag_value("--json")),
-            "--bench" => args.bench = true,
-            "--check" => args.check = Some(flag_value("--check")),
+    let (acfg, scfg) = (&mut args.acfg, &mut args.scfg);
+    let (mut bench, mut check) = (false, None);
+    // The last scheduling flag given.
+    let mut scheduling = None;
+    let mut flags = Flags::from_env(PROG);
+    while let Some(flag) = flags.next_flag() {
+        match flag.as_str() {
+            "--threshold" => args.threshold = flags.at_least(&flag, 0.0),
+            "--json" => args.json = Some(flags.value(&flag)),
+            "--bench" => bench = true,
+            "--check" => check = Some(flags.value(&flag)),
             "--scope" => args.scope = true,
-            "--scope-period" => parse_into!(args.scope_period, "--scope-period"),
-            "--scope-json" => args.scope_json = Some(flag_value("--scope-json")),
-            "--perfetto" => args.perfetto = Some(flag_value("--perfetto")),
-            _ => die(&format!("unexpected argument `{a}`")),
+            "--scope-period" => args.scope_period = flags.at_least(&flag, 1),
+            "--scope-json" => args.scope_json = Some(flags.value(&flag)),
+            "--perfetto" => args.perfetto = Some(flags.value(&flag)),
+            // The scheduling flags, each one refused with `--bench`.
+            _ => {
+                match flag.as_str() {
+                    "--jobs" => acfg.jobs = flags.parse(&flag),
+                    "--seed" => {
+                        acfg.seed = flags.parse(&flag);
+                        scfg.seed = acfg.seed;
+                    }
+                    "--workers" => scfg.workers = flags.at_least(&flag, 1),
+                    "--queue-cap" => scfg.queue_cap = flags.at_least(&flag, 1),
+                    "--degrade-at" => scfg.degrade_at = flags.at_least(&flag, 1),
+                    "--mean-gap" => acfg.mean_gap = flags.at_least(&flag, 1),
+                    "--budget" => acfg.budget = flags.parse(&flag),
+                    "--tight-every" => acfg.tight_every = flags.parse(&flag),
+                    "--tight-budget" => acfg.tight_budget = flags.parse(&flag),
+                    "--retries" => scfg.max_retries = flags.parse(&flag),
+                    "--plant-panic" => acfg.plant_panic.push(flags.parse(&flag)),
+                    "--kill-core" => {
+                        // JOB@CYCLE: job JOB's first attempt kills its
+                        // (only) core at CYCLE — a guaranteed recovery
+                        // failure.
+                        let v = flags.value(&flag);
+                        let kill = v.split_once('@').and_then(|(j, c)| {
+                            Some((j.trim().parse().ok()?, c.trim().parse().ok()?))
+                        });
+                        acfg.kill_at.push(kill.unwrap_or_else(|| {
+                            flags.die(format!("bad --kill-core `{v}` (expected JOB@CYCLE)"))
+                        }));
+                    }
+                    _ => flags.unknown(&flag),
+                }
+                scheduling = Some(flag);
+            }
         }
     }
-    args
-}
-
-/// The pinned benchmark configuration: fixed seed, a planted panic, a
-/// no-survivor core kill, and tight-budget jobs, so the committed
-/// `BENCH_serve.json` exercises every fault domain and reproduces
-/// byte-for-byte.
-fn bench_args(mut args: Args) -> Args {
-    args.jobs = 48;
-    args.seed = 42;
-    args.workers = 4;
-    args.queue_cap = 8;
-    args.degrade_at = 6;
-    args.mean_gap = 3_000;
-    args.budget = 200_000;
-    args.tight_every = 7;
-    args.tight_budget = 2_500;
-    args.retries = 3;
-    args.plant_panic = vec![5, 23];
-    args.kill_core = vec![(11, 800)];
+    flags.positionals(0);
+    if bench {
+        if let Some(flag) = scheduling {
+            flags.die(format!(
+                "{flag} cannot be combined with --bench, which pins it"
+            ));
+        }
+        args.acfg = ArrivalConfig::bench();
+        args.scfg = ServiceConfig::bench();
+    }
+    if let Some(path) = check {
+        let text = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| flags.die(format!("cannot read baseline `{path}`: {e}")));
+        let doc = serde_json::from_str(&text)
+            .unwrap_or_else(|e| flags.die(format!("baseline `{path}` is not JSON: {e}")));
+        args.check = Some((path, doc));
+    }
     args
 }
 
 fn main() {
-    let mut args = parse_args();
-    if args.bench {
-        args = bench_args(args);
-    }
-    let acfg = arrivals::ArrivalConfig {
-        jobs: args.jobs,
-        seed: args.seed,
-        mean_gap: args.mean_gap.max(1),
-        budget: args.budget,
-        tight_every: args.tight_every,
-        tight_budget: args.tight_budget,
-        plant_panic: args.plant_panic.clone(),
-        kill_at: args.kill_core.clone(),
-    };
-    let scfg = service::ServiceConfig {
-        workers: args.workers.max(1),
-        queue_cap: args.queue_cap.max(1),
-        degrade_at: args.degrade_at.max(1),
-        max_retries: args.retries,
-        seed: args.seed,
-        ..service::ServiceConfig::default()
-    };
-    let schedule = arrivals::generate(&acfg);
+    let args = parse_args();
+    let schedule = arrivals::generate(&args.acfg);
     let want_scope = args.scope || args.scope_json.is_some() || args.perfetto.is_some();
-    let sopts = want_scope.then(|| ScopeOptions {
-        period: args.scope_period.max(1),
+    let sopts = want_scope.then_some(ScopeOptions {
+        period: args.scope_period,
     });
-    let (result, scope) = service::serve_scoped(schedule, &scfg, sopts.as_ref());
-    let rep = ServiceReport::new(&acfg, &scfg, &result);
+    let (result, scope) = service::serve_scoped(schedule, &args.scfg, sopts.as_ref());
+    let rep = ServiceReport::new(&args.acfg, &args.scfg, &result);
 
     let t = &rep.totals;
     println!(
@@ -228,31 +187,29 @@ fn main() {
 
     if let Some(path) = &args.json {
         std::fs::write(path, rep.to_json())
-            .unwrap_or_else(|e| die(&format!("cannot write `{path}`: {e}")));
+            .unwrap_or_else(|e| die(PROG, format!("cannot write `{path}`: {e}")));
         println!("[report -> {path}]");
     }
     if let Some(sr) = &scope {
         if args.scope {
             println!("{}", sr.render_summary());
             print!("{}", sr.render_fleet());
+            print!("{}", sr.series.render_timeline());
+            print!("{}", sr.series.render_phase_table());
         }
         if let Some(path) = &args.scope_json {
             std::fs::write(path, sr.to_json())
-                .unwrap_or_else(|e| die(&format!("cannot write `{path}`: {e}")));
+                .unwrap_or_else(|e| die(PROG, format!("cannot write `{path}`: {e}")));
             println!("[scope -> {path}]");
         }
         if let Some(path) = &args.perfetto {
             std::fs::write(path, sr.to_perfetto())
-                .unwrap_or_else(|e| die(&format!("cannot write `{path}`: {e}")));
+                .unwrap_or_else(|e| die(PROG, format!("cannot write `{path}`: {e}")));
             println!("[perfetto -> {path}]");
         }
     }
-    if let Some(path) = &args.check {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| die(&format!("cannot read baseline `{path}`: {e}")));
-        let baseline: serde::Value = serde_json::from_str(&text)
-            .unwrap_or_else(|e| die(&format!("baseline `{path}` is not JSON: {e}")));
-        let regressions = report::check(&baseline, &rep, args.threshold);
+    if let Some((path, baseline)) = &args.check {
+        let regressions = report::check(baseline, &rep, args.threshold);
         if regressions.is_empty() {
             println!(
                 "[check: OK against {path} (threshold {:.0}%)]",

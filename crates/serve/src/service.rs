@@ -94,6 +94,23 @@ impl Default for ServiceConfig {
     }
 }
 
+impl ServiceConfig {
+    /// The pinned `clp-serve --bench` service: four workers, the default
+    /// queue and retry policy, and the jitter seed of
+    /// [`ArrivalConfig::bench`](crate::ArrivalConfig::bench).
+    #[must_use]
+    pub fn bench() -> Self {
+        ServiceConfig {
+            workers: 4,
+            queue_cap: 8,
+            degrade_at: 6,
+            max_retries: 3,
+            seed: 42,
+            ..ServiceConfig::default()
+        }
+    }
+}
+
 /// Aggregate counters of one service run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct ServiceTotals {

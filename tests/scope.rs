@@ -1,5 +1,7 @@
-//! Integration suite for clp-scope: span-tree invariants over random
-//! seeded arrival streams, byte-identical scope-on replay against the
+//! Integration suite for clp-scope, the recorder behind `clp-serve
+//! --scope`: span-tree invariants over random seeded arrival streams,
+//! byte-identical scope-on replay of the pinned `--bench` configuration
+//! (`ArrivalConfig::bench` / `ServiceConfig::bench`) against the
 //! committed `SCOPE_serve.json` golden, and the observational guarantee
 //! that turning scope on does not change the `clp-serve-v1` document.
 //!
@@ -15,32 +17,6 @@ use clp::serve::{
     serve_scoped, ServiceConfig, ServiceReport,
 };
 use proptest::prelude::*;
-
-/// The exact configuration `clp-serve --bench` / `clp-scope --bench`
-/// pin, so this suite guards the same run CI replays.
-fn bench_arrivals() -> ArrivalConfig {
-    ArrivalConfig {
-        jobs: 48,
-        seed: 42,
-        mean_gap: 3_000,
-        budget: 200_000,
-        tight_every: 7,
-        tight_budget: 2_500,
-        plant_panic: vec![5, 23],
-        kill_at: vec![(11, 800)],
-    }
-}
-
-fn bench_cfg() -> ServiceConfig {
-    ServiceConfig {
-        workers: 4,
-        queue_cap: 8,
-        degrade_at: 6,
-        max_retries: 3,
-        seed: 42,
-        ..ServiceConfig::default()
-    }
-}
 
 /// Asserts every structural span invariant on one scope report.
 fn assert_span_invariants(rep: &ScopeReport) {
@@ -127,7 +103,10 @@ fn assert_span_invariants(rep: &ScopeReport) {
             want_sim += cycles;
         }
     }
-    assert_eq!(rep.fleet.total.buckets, want, "fleet book = sum of job books");
+    assert_eq!(
+        rep.fleet.total.buckets, want,
+        "fleet book = sum of job books"
+    );
     assert_eq!(rep.fleet.total.sim_cycles, want_sim);
     let by_class: u64 = rep.fleet.by_class.values().map(|b| b.sim_cycles).sum();
     let by_cores: u64 = rep.fleet.by_cores.values().map(|b| b.sim_cycles).sum();
@@ -137,8 +116,10 @@ fn assert_span_invariants(rep: &ScopeReport) {
 
 #[test]
 fn bench_replay_is_byte_identical_and_matches_the_committed_goldens() {
-    let acfg = bench_arrivals();
-    let scfg = bench_cfg();
+    // The configuration `clp-serve --bench` pins, so this test guards
+    // the same run CI replays.
+    let acfg = ArrivalConfig::bench();
+    let scfg = ServiceConfig::bench();
     let opts = ScopeOptions::default();
     let run = || serve_scoped(arrivals::generate(&acfg), &scfg, Some(&opts));
 
@@ -162,7 +143,7 @@ fn bench_replay_is_byte_identical_and_matches_the_committed_goldens() {
         scope_a.to_json(),
         golden,
         "replay diverged from SCOPE_serve.json; regenerate with \
-         `clp-scope --bench --json SCOPE_serve.json` if intentional"
+         `clp-serve --bench --scope-json SCOPE_serve.json` if intentional"
     );
 
     // Scope is observational: the clp-serve-v1 document of the scope-on
